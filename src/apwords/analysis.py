@@ -18,20 +18,24 @@ from .words import Word
 _PUA = 0xE000
 
 
+def _char_table(alphabet):
+    """symbol -> its private-use-area character."""
+    return {s: chr(_PUA + i) for i, s in enumerate(alphabet.symbols)}
+
+
+def _encode(symbols, alphabet):
+    return "".join(map(_char_table(alphabet).__getitem__, symbols))
+
+
 def _seq_text(seq, lo, hi):
-    alphabet = seq.alphabet
-    w = seq.read(lo, hi)
-    return "".join(chr(_PUA + alphabet.index(s)) for s in w.symbols)
+    return _encode(seq.read(lo, hi).symbols, seq.alphabet)
 
 
 def _word_text(x, alphabet):
     """Map a Word through a sequence's alphabet; None if a symbol is foreign."""
-    out = []
-    for s in x.symbols:
-        if s not in alphabet:
-            return None
-        out.append(chr(_PUA + alphabet.index(s)))
-    return "".join(out)
+    if not alphabet.covers(x.symbols):
+        return None
+    return _encode(x.symbols, alphabet)
 
 
 def _text_word(text, alphabet):
@@ -256,7 +260,7 @@ def is_cube_free(w):
     Per period p, agreement runs between w and its shift by p are grown
     around anchors at multiples of p; a run of length >= 2p is a cube.
     """
-    text = "".join(chr(_PUA + w.alphabet.index(s)) for s in w.symbols)
+    text = _encode(w.symbols, w.alphabet)
     n = len(text)
     for p in range(1, n // 3 + 1):
         t = p

@@ -23,6 +23,9 @@ DEFAULT_STALL_LIMIT = 2 ** 17
 # Hard cap on letters consumed while closing a block alphabet.
 DEFAULT_SCAN_CAP = 2 ** 24
 
+# Input letters a machine stream pulls from upstream in one range read.
+_CHUNK = 4096
+
 
 class Automaton:
     """Letter-to-letter machine: transition (state, input) -> (state, output)."""
@@ -48,14 +51,6 @@ class Automaton:
 
     def step(self, q, s):
         return self.delta[(q, s)]
-
-    def run_on_word(self, q, symbols):
-        """End state and emitted outputs of a run from q over the symbols."""
-        outs = []
-        for s in symbols:
-            q, out = self.delta[(q, s)]
-            outs.append(out)
-        return q, tuple(outs)
 
     def restricted(self, letters):
         """Copy with the input alphabet cut down to the given letters."""
@@ -126,6 +121,30 @@ def pair_alphabet(input_alphabet, states):
     return Alphabet(tuple(itertools.product(input_alphabet.symbols, states)))
 
 
+def _rows(delta):
+    """(state, letter) -> v as state -> {letter: v}, for lookups in a loop."""
+    rows = {}
+    for (q, s), v in delta.items():
+        rows.setdefault(q, {})[s] = v
+    return rows
+
+
+def _upstream(seq, start=0):
+    """The letters of seq from start on, a range read at a time.
+
+    Where seq ends or fails, the letters before that position come first;
+    then the plain read of that position raises, so a machine stream meets
+    the error only where a per-letter reader would.
+    """
+    i = start
+    while True:
+        letters = seq._read_available(i, i + _CHUNK - 1)
+        if not letters:
+            letters = (seq.at(i),)
+        yield letters
+        i += len(letters)
+
+
 def run(auto, seq, with_states=False):
     """The automaton image of a sequence.
 
@@ -142,17 +161,24 @@ def run(auto, seq, with_states=False):
         else auto.output_alphabet
     )
 
-    def gen():
+    def chunks():
+        rows = _rows(auto.delta)
         q = auto.initial
-        for i in itertools.count():
-            s = seq.at(i)
-            nxt, out = auto.delta[(q, s)]
-            yield (s, q) if with_states else out
-            q = nxt
+        for letters in _upstream(seq):
+            out = []
+            if with_states:
+                for s in letters:
+                    out.append((s, q))
+                    q = rows[q][s][0]
+            else:
+                for s in letters:
+                    q, o = rows[q][s]
+                    out.append(o)
+            yield out
 
     mode = "pairs" if with_states else "output"
-    return StreamSequence(
-        out_alphabet, gen(), description=f"run[{mode}]:{seq.description}"
+    return StreamSequence._of_chunks(
+        out_alphabet, chunks(), description=f"run[{mode}]:{seq.description}"
     )
 
 
@@ -219,19 +245,32 @@ class SplitResult:
     original: object  # the handle that was split
 
 
+def _cut_blocks(letters, marker, tail):
+    """Cut tail + letters after each marker: (complete blocks, new tail)."""
+    blocks = []
+    a = 0
+    try:
+        while True:
+            b = letters.index(marker, a) + 1
+            blocks.append(tail + letters[a:b])
+            tail = ()
+            a = b
+    except ValueError:
+        return blocks, tail + letters[a:]
+
+
 def _scan_blocks(seq, marker, start, stop_blocks, stop_letters):
     """Blocks of seq[start:] ending at each marker, up to either stop."""
     blocks = []
-    cur = []
+    tail = ()
     pos = start
-    while len(blocks) < stop_blocks and pos - start < stop_letters:
-        s = seq.at(pos)
-        cur.append(s)
-        if s == marker:
-            blocks.append(tuple(cur))
-            cur = []
-        pos += 1
-    return blocks
+    for letters in _upstream(seq, start):
+        letters = letters[:start + stop_letters - pos]
+        cut, tail = _cut_blocks(letters, marker, tail)
+        blocks += cut
+        pos += len(letters)
+        if len(blocks) >= stop_blocks or pos - start >= stop_letters:
+            return blocks[:stop_blocks]
 
 
 def split(seq, marker, reg, scan_cap=DEFAULT_SCAN_CAP):
@@ -247,14 +286,10 @@ def split(seq, marker, reg, scan_cap=DEFAULT_SCAN_CAP):
                          "infinitely-occurring letters)")
     r1 = reg(1)
     # first marker occurrence; condition (1) places it within the first window
-    first = None
-    for i in range(r1):
-        if seq.at(i) == marker:
-            first = i
-            break
-    if first is None:
+    head = seq.read(0, r1 - 1).symbols
+    if marker not in head:
         raise InvariantViolation("marker absent from the first regulator window")
-    offset = first + 1
+    offset = head.index(marker) + 1
 
     # phase 1: observe block lengths over one window to size the closure scan
     probe = _scan_blocks(seq, marker, offset, 2 * r1, 2 * r1 * r1)
@@ -281,24 +316,22 @@ def split(seq, marker, reg, scan_cap=DEFAULT_SCAN_CAP):
     block_alphabet = Alphabet(tuple(seen[b] for b in order))
     decode = {seen[b]: Word(seq.alphabet, b) for b in order}
 
-    def gen():
-        cur = []
-        for pos in itertools.count(offset):
-            s = seq.at(pos)
-            cur.append(s)
-            if s == marker:
-                b = tuple(cur)
-                cur = []
-                sym = seen.get(b)
-                if sym is None:
-                    raise InvariantViolation(
-                        f"block {Word(seq.alphabet, b).text()!r} first seen "
-                        "after the closure scan"
-                    )
-                yield sym
+    def chunks():
+        tail = ()
+        for letters in _upstream(seq, offset):
+            blocks, tail = _cut_blocks(letters, marker, tail)
+            out = list(map(seen.get, blocks))
+            if None in out:
+                k = out.index(None)
+                yield out[:k]
+                raise InvariantViolation(
+                    f"block {Word(seq.alphabet, blocks[k]).text()!r} first seen "
+                    "after the closure scan"
+                )
+            yield out
 
-    split_sequence = StreamSequence(
-        block_alphabet, gen(), description=f"split:{marker}:{seq.description}"
+    split_sequence = StreamSequence._of_chunks(
+        block_alphabet, chunks(), description=f"split:{marker}:{seq.description}"
     )
     return SplitResult(
         marker=marker,
@@ -454,6 +487,26 @@ def reduce_to_reversible(auto, seq, reg, scan_cap=DEFAULT_SCAN_CAP):
 # Homomorphisms and transducers
 
 
+def _transduce(seq, rows, q, stall_limit):
+    """Output chunks of a transducer run from state q over seq; the output
+    ends after stall_limit consecutive inputs without output (with None,
+    never)."""
+    stalled = 0
+    for letters in _upstream(seq):
+        out = []
+        for s in letters:
+            q, o = rows[q][s]
+            if o:
+                stalled = 0
+                out += o
+            else:
+                stalled += 1
+                if stall_limit is not None and stalled >= stall_limit:
+                    yield out
+                    return
+        yield out
+
+
 def hom_apply(h, seq, reg=None, stall_limit=DEFAULT_STALL_LIMIT):
     """Concatenated image h(seq(0)) h(seq(1)) ...
 
@@ -466,20 +519,12 @@ def hom_apply(h, seq, reg=None, stall_limit=DEFAULT_STALL_LIMIT):
         if all(len(h.images.get(s, ())) == 0 for s in recurrent):
             raise FiniteOutputError(0)
 
-    def gen():
-        stalled = 0
-        for i in itertools.count():
-            out = h.images[seq.at(i)]
-            if out:
-                stalled = 0
-                yield from out
-            else:
-                stalled += 1
-                if reg is None and stalled >= stall_limit:
-                    return
-        # not reached
-
-    return StreamSequence(h.target, gen(), description=f"hom:{seq.description}")
+    rows = {None: {s: (None, img) for s, img in h.images.items()}}
+    return StreamSequence._of_chunks(
+        h.target,
+        _transduce(seq, rows, None, stall_limit if reg is None else None),
+        description=f"hom:{seq.description}",
+    )
 
 
 def transducer_run(trans, seq, stall_limit=DEFAULT_STALL_LIMIT):
@@ -490,21 +535,10 @@ def transducer_run(trans, seq, stall_limit=DEFAULT_STALL_LIMIT):
         if missing:
             raise AlphabetError(f"sequence symbols {missing!r} unknown to transducer")
 
-    def gen():
-        q = trans.initial
-        stalled = 0
-        for i in itertools.count():
-            q, out = trans.delta[(q, seq.at(i))]
-            if out:
-                stalled = 0
-                yield from out
-            else:
-                stalled += 1
-                if stalled >= stall_limit:
-                    return
-
-    return StreamSequence(
-        trans.output_alphabet, gen(), description=f"transduce:{seq.description}"
+    return StreamSequence._of_chunks(
+        trans.output_alphabet,
+        _transduce(seq, _rows(trans.delta), trans.initial, stall_limit),
+        description=f"transduce:{seq.description}",
     )
 
 

@@ -22,6 +22,16 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="apwords",
@@ -35,8 +45,8 @@ def _build_parser():
         if reg:
             sp.add_argument("--reg", required=True, help="regulator descriptor")
         if horizon:
-            sp.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-            sp.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
+            sp.add_argument("--horizon", type=_positive_int, default=DEFAULT_HORIZON)
+            sp.add_argument("--nmax", type=_positive_int, default=DEFAULT_NMAX)
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument("--out", help="write the report to this file")
 

@@ -47,6 +47,8 @@ def reg_eval(r, n):
 
 def identity_plus(c):
     """r(n) = n + c."""
+    if c < 0:
+        raise ValueError("offset must be >= 0 for r(n) >= n")
     return Regulator(lambda n: n + c, "explicit-formula", f"id+c:{c}")
 
 

@@ -8,16 +8,20 @@ alphabets).  An Alphabet fixes a total, stable order on its symbols; every
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import (
     AlphabetError,
+    FiniteOutputError,
     ResourceLimitError,
     SchemeError,
     SpecParseError,
 )
+from .regulators import DEFAULT_CEILING
 
 # Finite blocks larger than this are refused rather than materialized.
 MAX_BLOCK_SYMBOLS = 2 ** 25
@@ -56,6 +60,10 @@ class Alphabet:
     def __contains__(self, symbol):
         return symbol in self._index
 
+    def covers(self, symbols):
+        """Whether every one of the symbols is in the alphabet."""
+        return self._index.keys() >= set(symbols)
+
     def __len__(self):
         return len(self._symbols)
 
@@ -82,9 +90,9 @@ class Word:
 
     def __init__(self, alphabet, symbols):
         symbols = tuple(symbols)
-        for s in symbols:
-            if s not in alphabet:
-                raise AlphabetError(f"symbol {s!r} not in alphabet")
+        if not alphabet.covers(symbols):
+            bad = next(s for s in symbols if s not in alphabet)
+            raise AlphabetError(f"symbol {bad!r} not in alphabet")
         self.alphabet = alphabet
         self.symbols = symbols
 
@@ -143,9 +151,14 @@ def complement(w):
 class SequenceHandle:
     """A lazily evaluable infinite word: a pure function of index.
 
-    ``at(i)`` must be deterministic; ``read(i, j)`` is the list of the
-    individual reads.  Handles are immutable after construction and safe for
-    concurrent reads.
+    ``at(i)`` must be deterministic.  ``read(i, j)`` is served by the range
+    read ``_read_symbols(i, j)``, which returns letters i..j in one call and
+    must equal the individual reads ``at(i) ... at(j)``; composite handles
+    serve it from their children's range reads.  A handle may fill ahead of
+    a read (memoize a chunk, drive a machine further) only where that cannot
+    raise: a failure or the end of a finite word surfaces only when a read
+    reaches its position.  Handles are immutable after construction and safe
+    for concurrent reads.
     """
 
     def __init__(self, alphabet, description=""):
@@ -163,20 +176,50 @@ class SequenceHandle:
     def _read_symbols(self, i, j):
         return tuple(self.at(k) for k in range(i, j + 1))
 
+    def _read_available(self, i, j):
+        """Letters i..j, or the prefix of them that a plain read would give
+        without raising: this stops quietly where the word ends or a read
+        fails, and a plain read of that position raises.  Handles are
+        functions of index (streams keep their error), so the error is
+        deferred, never lost."""
+        try:
+            return self._read_symbols(i, j)
+        except Exception:
+            out = []
+            for k in range(i, j + 1):
+                try:
+                    out.append(self.at(k))
+                except Exception:
+                    break
+            return tuple(out)
+
     def suffix(self, n):
         """The handle for index -> self(n + index)."""
         if n < 0:
             raise ValueError("suffix shift must be >= 0")
         if n == 0:
             return self
-        return FuncSequence(
-            self.alphabet,
-            lambda i: self.at(n + i),
-            description=f"suffix:{n}:{self.description}",
-        )
+        return _Suffix(self, n, f"suffix:{n}:{self.description}")
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.description!r}>"
+
+
+class _Suffix(SequenceHandle):
+    """An offset view: reads go to the base handle and share its memo."""
+
+    def __init__(self, base, shift, description):
+        super().__init__(base.alphabet, description)
+        if isinstance(base, _Suffix):
+            base, shift = base._base, base._shift + shift
+        self._base = base
+        self._shift = shift
+
+    def at(self, i):
+        return self._base.at(self._shift + i)
+
+    def _read_symbols(self, i, j):
+        return self._base._read_symbols(self._shift + i, self._shift + j)
 
 
 class FuncSequence(SequenceHandle):
@@ -193,8 +236,7 @@ class FuncSequence(SequenceHandle):
         chunk = self._chunks.get(c)
         if chunk is None:
             base = c * self.CHUNK
-            fn = self._fn
-            chunk = [fn(base + k) for k in range(self.CHUNK)]
+            chunk = tuple(map(self._fn, range(base, base + self.CHUNK)))
             # idempotent fill: concurrent writers produce identical chunks
             self._chunks[c] = chunk
         return chunk
@@ -203,50 +245,71 @@ class FuncSequence(SequenceHandle):
         return self._chunk(i // self.CHUNK)[i % self.CHUNK]
 
     def _read_symbols(self, i, j):
-        out = []
-        c = i // self.CHUNK
-        while c * self.CHUNK <= j:
-            chunk = self._chunk(c)
-            lo = max(i - c * self.CHUNK, 0)
-            hi = min(j - c * self.CHUNK, self.CHUNK - 1)
-            out.extend(chunk[lo:hi + 1])
-            c += 1
-        return tuple(out)
+        c, lo = divmod(i, self.CHUNK)
+        last, hi = divmod(j, self.CHUNK)
+        if c == last:
+            return self._chunk(c)[lo:hi + 1]
+        parts = [self._chunk(c)[lo:]]
+        parts += map(self._chunk, range(c + 1, last))
+        parts.append(self._chunk(last)[:hi + 1])
+        return tuple(itertools.chain.from_iterable(parts))
 
 
 class StreamSequence(SequenceHandle):
     """Sequence backed by a single generator, buffered as it is consumed.
 
     The generator may be finite; reads past its end raise FiniteOutputError
-    lazily.  Buffer fills are serialized so concurrent reads are safe.
+    lazily.  An exception the generator raises is kept, and every read that
+    reaches its position raises it.  Buffer fills are serialized so
+    concurrent reads are safe.
     """
 
     def __init__(self, alphabet, iterator, description=""):
         super().__init__(alphabet, description)
         self._it = iter(iterator)
         self._buf = []
+        self._grow = self._buf.append
         self._done = False
+        self._error = None
         self._lock = threading.Lock()
 
+    @classmethod
+    def _of_chunks(cls, alphabet, chunks, description=""):
+        """A stream fed by an iterator of letter lists, one extend per list."""
+        stream = cls(alphabet, chunks, description)
+        stream._grow = stream._buf.extend
+        return stream
+
     def _ensure(self, n):
+        """Fill the buffer past position n, or as far as the generator goes."""
         if len(self._buf) > n:
             return
         with self._lock:
             while len(self._buf) <= n and not self._done:
                 try:
-                    self._buf.append(next(self._it))
+                    self._grow(next(self._it))
                 except StopIteration:
                     self._done = True
-        if len(self._buf) <= n:
-            from .errors import FiniteOutputError
+                except Exception as exc:
+                    self._done = True
+                    self._error = exc
 
+    def _check(self, n):
+        self._ensure(n)
+        if len(self._buf) <= n:
+            if self._error is not None:
+                raise self._error
             raise FiniteOutputError(len(self._buf))
 
     def at(self, i):
-        self._ensure(i)
+        self._check(i)
         return self._buf[i]
 
     def _read_symbols(self, i, j):
+        self._check(j)
+        return tuple(self._buf[i:j + 1])
+
+    def _read_available(self, i, j):
         self._ensure(j)
         return tuple(self._buf[i:j + 1])
 
@@ -256,16 +319,40 @@ def read(seq, i, j):
     return seq.read(i, j)
 
 
+class _Product(SequenceHandle):
+    def __init__(self, seq_a, seq_b):
+        alphabet = Alphabet(
+            tuple(itertools.product(seq_a.alphabet.symbols, seq_b.alphabet.symbols))
+        )
+        super().__init__(
+            alphabet, f"product:{seq_a.description},{seq_b.description}"
+        )
+        self._a = seq_a
+        self._b = seq_b
+
+    def at(self, i):
+        return (self._a.at(i), self._b.at(i))
+
+    def _read_symbols(self, i, j):
+        return tuple(zip(self._a._read_symbols(i, j), self._b._read_symbols(i, j)))
+
+
 def product(seq_a, seq_b):
     """Componentwise pairing: index -> (a(i), b(i)) over the product alphabet."""
-    alphabet = Alphabet(
-        tuple(itertools.product(seq_a.alphabet.symbols, seq_b.alphabet.symbols))
-    )
-    return FuncSequence(
-        alphabet,
-        lambda i: (seq_a.at(i), seq_b.at(i)),
-        description=f"product:{seq_a.description},{seq_b.description}",
-    )
+    return _Product(seq_a, seq_b)
+
+
+class _Projection(SequenceHandle):
+    def __init__(self, alphabet, seq, k):
+        super().__init__(alphabet)
+        self._seq = seq
+        self._k = k
+
+    def at(self, i):
+        return self._seq.at(i)[self._k]
+
+    def _read_symbols(self, i, j):
+        return tuple(map(itemgetter(self._k), self._seq._read_symbols(i, j)))
 
 
 def projections(seq):
@@ -276,9 +363,21 @@ def projections(seq):
             firsts.append(a)
         if b not in seconds:
             seconds.append(b)
-    left = FuncSequence(Alphabet(firsts), lambda i: seq.at(i)[0])
-    right = FuncSequence(Alphabet(seconds), lambda i: seq.at(i)[1])
-    return left, right
+    return _Projection(Alphabet(firsts), seq, 0), _Projection(Alphabet(seconds), seq, 1)
+
+
+class _Periodic(SequenceHandle):
+    def __init__(self, w):
+        super().__init__(w.alphabet, f"periodic:{w.text()}")
+        self._syms = w.symbols
+
+    def at(self, i):
+        return self._syms[i % len(self._syms)]
+
+    def _read_symbols(self, i, j):
+        syms = self._syms
+        q, n = i % len(syms), j - i + 1
+        return (syms * ((q + n - 1) // len(syms) + 1))[q:q + n]
 
 
 def periodic(w):
@@ -287,10 +386,25 @@ def periodic(w):
         w = word(w)
     if len(w) == 0:
         raise ValueError("period word must be non-empty")
-    syms, p = w.symbols, len(w)
-    return FuncSequence(
-        w.alphabet, lambda i: syms[i % p], description=f"periodic:{w.text()}"
-    )
+    return _Periodic(w)
+
+
+class _Prepend(SequenceHandle):
+    def __init__(self, w, seq):
+        super().__init__(seq.alphabet, f"prepend:{w.text()}:{seq.description}")
+        self._head = w.symbols
+        self._seq = seq
+
+    def at(self, i):
+        k = len(self._head)
+        return self._head[i] if i < k else self._seq.at(i - k)
+
+    def _read_symbols(self, i, j):
+        head = self._head
+        k = len(head)
+        if j < k:
+            return head[i:j + 1]
+        return head[i:] + self._seq._read_symbols(max(i - k, 0), j - k)
 
 
 def prepend(w, seq):
@@ -300,25 +414,60 @@ def prepend(w, seq):
     for s in w.symbols:
         if s not in seq.alphabet:
             raise AlphabetError(f"prepended symbol {s!r} not in sequence alphabet")
-    k, syms = len(w), w.symbols
-    return FuncSequence(
-        seq.alphabet,
-        lambda i: syms[i] if i < k else seq.at(i - k),
-        description=f"prepend:{w.text()}:{seq.description}",
-    )
+    return _Prepend(w, seq)
 
 
 # ---------------------------------------------------------------------------
 # Thue-Morse
 
+_FLIP = str.maketrans("01", "10")
+
+
+def _stretches(lo, hi, size, blocks, flipped, pieces):
+    """Append letters lo..hi-1 of a word made of aligned stretches of size
+    letters to pieces: stretch t is blocks[flipped(t)] (a string)."""
+    while lo < hi:
+        t, r = divmod(lo, size)
+        end = min(hi, lo - r + size)
+        pieces.append(blocks[flipped(t)][r:r + end - lo])
+        lo = end
+
+
+def _tm_text(n):
+    s = "0"
+    for _ in range(n):
+        s += s.translate(_FLIP)
+    return s
+
+
+def _tm_parity(i):
+    return bin(i).count("1") & 1
+
+
+# Letter t * 2^12 + r of Thue-Morse is tm(r), flipped when tm(t) is 1, so a
+# range read is cut from the level-12 block and its complement.
+_TM_BASE_LEVEL = 12
+_TM_BASE = (_tm_text(_TM_BASE_LEVEL), _tm_text(_TM_BASE_LEVEL).translate(_FLIP))
+
+
+class _ThueMorse(SequenceHandle):
+    """Letter i is the parity of the binary digit sum of i."""
+
+    def __init__(self):
+        super().__init__(BINARY, "tm")
+
+    def at(self, i):
+        return "01"[_tm_parity(i)]
+
+    def _read_symbols(self, i, j):
+        pieces = []
+        _stretches(i, j + 1, 2 ** _TM_BASE_LEVEL, _TM_BASE, _tm_parity, pieces)
+        return tuple("".join(pieces))
+
 
 def thue_morse():
     """The Thue-Morse sequence 0110100110010110... over {0,1}."""
-    return FuncSequence(
-        BINARY,
-        lambda i: "1" if bin(i).count("1") % 2 else "0",
-        description="tm",
-    )
+    return _ThueMorse()
 
 
 def tm_block(n, max_len=MAX_BLOCK_SYMBOLS):
@@ -327,15 +476,20 @@ def tm_block(n, max_len=MAX_BLOCK_SYMBOLS):
         raise ValueError("level must be >= 0")
     if 2 ** n > max_len:
         raise ResourceLimitError(f"block of length 2^{n} exceeds limit {max_len}")
-    s = "0"
-    flip = str.maketrans("01", "10")
-    for _ in range(n):
-        s += s.translate(flip)
-    return word(s, BINARY)
+    return word(_tm_text(n), BINARY)
 
 
 # ---------------------------------------------------------------------------
 # The quintuple blocks a_n and the sequences built from them
+
+
+def _quintuple_text(n):
+    """a_0 = 1, a_{n+1} = a ~a ~a a a, as a string."""
+    s = "1"
+    for _ in range(n):
+        t = s.translate(_FLIP)
+        s = s + t + t + s + s
+    return s
 
 
 def thm21_block(n, max_len=MAX_BLOCK_SYMBOLS):
@@ -344,12 +498,7 @@ def thm21_block(n, max_len=MAX_BLOCK_SYMBOLS):
         raise ValueError("level must be >= 0")
     if 5 ** n > max_len:
         raise ResourceLimitError(f"block of length 5^{n} exceeds limit {max_len}")
-    s = "1"
-    flip = str.maketrans("01", "10")
-    for _ in range(n):
-        t = s.translate(flip)
-        s = s + t + t + s + s
-    return word(s, BINARY)
+    return word(_quintuple_text(n), BINARY)
 
 
 def _quintuple_letter(n, j):
@@ -360,6 +509,25 @@ def _quintuple_letter(n, j):
             flips ^= 1
         j //= 5
     return "0" if flips else "1"
+
+
+# Range reads of quintuple blocks are cut from (a_b, ~a_b) for b up to this
+# level: a_n is a_b or ~a_b in each aligned stretch of 5^b letters.
+_QUINTUPLE_BASE_LEVEL = 5
+_QUINTUPLE_BASE = tuple(
+    (a, a.translate(_FLIP))
+    for a in map(_quintuple_text, range(_QUINTUPLE_BASE_LEVEL + 1))
+)
+
+
+def _quintuple_pieces(n, lo, hi, pieces):
+    """Append letters lo..hi-1 of a_n a_n a_n ... to pieces, as strings."""
+    b = min(n, _QUINTUPLE_BASE_LEVEL)
+    count = 5 ** (n - b)  # base stretches per a_n
+    _stretches(
+        lo, hi, 5 ** b, _QUINTUPLE_BASE[b],
+        lambda t: _quintuple_letter_unbounded(t % count) == "0", pieces,
+    )
 
 
 @dataclass(frozen=True)
@@ -380,31 +548,43 @@ class TauSpec:
 
 class _QuintupleConcat(SequenceHandle):
     """c_0 c_1 c_2 ... where c_n is the level-n quintuple block repeated
-    tau(n) times (tau constant 4 gives the plain variant)."""
+    tau(n) times (tau constant 4 gives the plain variant).
+
+    Level n starts at sum_{m<n} tau(m) 5^m.  These starts are computed once,
+    up to the regulator ceiling, so reads share no growing state; a range
+    read walks them level by level.
+    """
 
     def __init__(self, tau, description):
         super().__init__(BINARY, description)
-        self._tau = tau
-        self._bounds = [0]  # cumulative lengths of c_0 ... c_{n-1}
+        bounds = [0]
+        while bounds[-1] <= DEFAULT_CEILING:
+            n = len(bounds) - 1
+            bounds.append(bounds[-1] + tau.count(n) * 5 ** n)
+        self._bounds = tuple(bounds)
 
     def _level_for(self, i):
-        bounds = self._bounds
-        while bounds[-1] <= i:
-            n = len(bounds) - 1
-            bounds.append(bounds[-1] + self._tau.count(n) * 5 ** n)
-        lo, hi = 0, len(bounds) - 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if bounds[mid] <= i:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        n = bisect.bisect_right(self._bounds, i) - 1
+        if n == len(self._bounds) - 1:
+            raise ResourceLimitError(f"index {i} exceeds ceiling {DEFAULT_CEILING}")
+        return n
 
     def at(self, i):
         n = self._level_for(i)
         p = i - self._bounds[n]
         return _quintuple_letter(n, p % 5 ** n)
+
+    def _read_symbols(self, i, j):
+        bounds = self._bounds
+        n = self._level_for(i)
+        self._level_for(j)  # past the ceiling, raise before any work
+        pieces = []
+        while i <= j:
+            stop = min(j + 1, bounds[n + 1])
+            _quintuple_pieces(n, i - bounds[n], stop - bounds[n], pieces)
+            i = stop
+            n += 1
+        return tuple("".join(pieces))
 
 
 def thm21():

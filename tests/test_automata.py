@@ -399,3 +399,76 @@ def test_automaton_file_errors(tmp_path):
     p.write_text("input: 0 1\noutput: 0 1\nstates: a\ninitial: a\na 0 -> a 0\n")
     with pytest.raises(ValueError):  # transition table not total
         load_automaton(str(p))
+
+
+# ---------------------------------------------------------------------------
+# Laziness: machine streams read upstream a range at a time, yet raise only
+# where a per-letter reader would
+
+
+def finite_stream(text):
+    return ap.StreamSequence(BIN, iter(text), "finite")
+
+
+def produced_at(seq, i):
+    with pytest.raises(ap.FiniteOutputError) as exc:
+        seq.at(i)
+    return exc.value.produced
+
+
+def test_run_over_finite_stream_ends_where_the_input_ends():
+    swap = Automaton(BIN, BIN, ("q",), "q", {("q", "0"): ("q", "1"), ("q", "1"): ("q", "0")})
+    out = run(swap, finite_stream("0110" * 25))
+    assert read(out, 0, 99).text() == "1001" * 25
+    assert produced_at(out, 100) == 100
+    assert produced_at(out, 5000) == 100
+
+
+def test_hom_apply_over_finite_stream_reports_the_input_end():
+    h = Homomorphism(BIN, BIN, {"0": ("0", "0"), "1": ("1",)})
+    out = hom_apply(h, finite_stream("01" * 50))
+    assert len(read(out, 0, 149)) == 150
+    assert produced_at(out, 150) == 100
+    assert produced_at(out, 150) == 100
+
+
+def test_hom_apply_stall_point_is_per_letter():
+    h = Homomorphism(BIN, BIN, {"0": (), "1": ("1",)})
+    out = hom_apply(h, prepend(word("11111", BIN), periodic(word("0", BIN))),
+                    stall_limit=1000)
+    assert read(out, 0, 4).text() == "11111"
+    assert produced_at(out, 5) == 5
+
+
+def test_transducer_run_stall_and_end_of_input():
+    delta = {("q", "0"): ("q", ()), ("q", "1"): ("q", ("1",))}
+    t = Transducer(BIN, BIN, ("q",), "q", delta)
+    text = "1" * 10 + "0" * 50
+    assert produced_at(transducer_run(t, finite_stream(text), stall_limit=20), 10) == 10
+    assert produced_at(transducer_run(t, finite_stream(text), stall_limit=100), 10) == 60
+    # the stall ends the output after exactly stall_limit silent inputs
+    text = "1" * 10 + "0" * 20 + "1" * 5
+    assert produced_at(transducer_run(t, finite_stream(text), stall_limit=20), 10) == 10
+    assert produced_at(transducer_run(t, finite_stream(text), stall_limit=21), 15) == 35
+
+
+def test_split_raises_only_at_the_offending_block():
+    # blocks "01" up to position 999, then "1" blocks: the closure scan sees
+    # only "01", and block 499 is the first "1"
+    seq = ap.FuncSequence(BIN, lambda i: "01"[i % 2] if i < 1000 else "1", "late")
+    sr = split(seq, "1", ap.identity_plus(3))
+    assert sr.offset == 2
+    assert set(read(sr.split_sequence, 0, 498).symbols) == {"b0"}
+    for _ in range(2):
+        with pytest.raises(ap.InvariantViolation, match="first seen after"):
+            sr.split_sequence.at(499)
+
+
+def test_split_probe_window_stops_at_its_letter_cap():
+    # the probe sees only "0001" in its 32 letters, so the closure scan is
+    # sized for blocks of 4 and fits the cap; it then meets a 40-letter block
+    seq = ap.FuncSequence(
+        BIN, lambda i: "1" if i in (1, 5) or (i >= 6 and i % 40 == 0) else "0",
+        "sparse")
+    with pytest.raises(ap.InvariantViolation, match="block of length 40"):
+        split(seq, "1", ap.identity_plus(3), scan_cap=100)

@@ -203,3 +203,18 @@ def test_missing_file_exit_2(capsys):
     code, _ = run_cli(capsys, ["reduce", "--auto", "/nonexistent.aut",
                                "--spec", "tm", "--reg", "id+c:3"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--horizon", "-5"), ("--horizon", "0"),
+                                         ("--nmax", "0"), ("--nmax", "-3")])
+def test_nonpositive_numbers_exit_2(capsys, flag, value):
+    code, out = run_cli(capsys, ["check-sap", "--spec", "tm", flag, value])
+    assert code == 2
+    assert out == ""
+
+
+def test_negative_identity_offset_exit_2(capsys):
+    code, out = run_cli(capsys, ["check-regulator", "--spec", "tm",
+                                 "--reg", "id+c:-5"])
+    assert code == 2
+    assert out == ""

@@ -133,7 +133,7 @@ def test_parse_regulator_descriptors():
     assert parse_regulator("id+c:3")(5) == 8
     assert parse_regulator("lin:2:5")(4) == 13
     assert parse_regulator("thm21")(4) == 74
-    for bad in ["", "id+c:", "lin:2", "nope:1", "id+c:x"]:
+    for bad in ["", "id+c:", "lin:2", "nope:1", "id+c:x", "id+c:-5"]:
         with pytest.raises(ValueError):
             parse_regulator(bad)
 

@@ -333,3 +333,21 @@ def test_alphabet_invariants():
         Alphabet(())
     with pytest.raises(ap.AlphabetError):
         word("abc", ap.BINARY)
+
+
+def test_stream_sequence_keeps_the_generator_error():
+    def gen():
+        yield from "01101"
+        raise ap.InvariantViolation("bad letter 5")
+
+    s = ap.StreamSequence(ap.BINARY, gen(), "failing")
+    assert read(s, 0, 4).text() == "01101"
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ap.InvariantViolation) as exc:
+            s.at(5)
+        errors.append(exc.value)
+    assert errors[0] is errors[1]
+    with pytest.raises(ap.InvariantViolation):
+        read(s, 3, 7)
+    assert read(s, 2, 4).text() == "101"
