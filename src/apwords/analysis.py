@@ -7,7 +7,10 @@ only (reported as pass-at-horizon), never a proof of membership.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, count, pairwise, starmap, takewhile
+from operator import eq, sub
 
 from .errors import ResourceLimitError
 from .regulators import Regulator
@@ -166,6 +169,13 @@ def empirical_regulator(seq, horizon, n_max=None):
     return EmpiricalRegulator(seq, horizon, n_max)
 
 
+def _fail(horizon, n, ce):
+    """A fail verdict with one counterexample, found at factor length n."""
+    return Verdict(
+        "fail", horizon, counterexample=ce, failures=((n, ce),), failure_count=1
+    )
+
+
 def check_regulator(seq, reg, horizon, n_max):
     """Falsify a candidate regulator against a prefix.
 
@@ -187,27 +197,38 @@ def check_regulator(seq, reg, horizon, n_max):
         for key, (first, last, maxgap, gap_prev) in _factor_stats(text, n).items():
             if last < L:
                 continue  # occurs finitely by the cutoff condition
-            factor = _text_word(key, seq.alphabet)
             if first > L - n:
-                return Verdict(
-                    "fail", horizon,
-                    counterexample=Counterexample(factor, 0, L),
-                    failures=((n, Counterexample(factor, 0, L)),),
-                    failure_count=1,
-                )
-            if maxgap > L - n + 1:
-                ce = Counterexample(factor, gap_prev + 1, L)
-                return Verdict(
-                    "fail", horizon, counterexample=ce,
-                    failures=((n, ce),), failure_count=1,
-                )
-            if last < horizon - L:
-                ce = Counterexample(factor, horizon - L, L)
-                return Verdict(
-                    "fail", horizon, counterexample=ce,
-                    failures=((n, ce),), failure_count=1,
-                )
+                start = 0
+            elif maxgap > L - n + 1:
+                start = gap_prev + 1
+            elif last < horizon - L:
+                start = horizon - L
+            else:
+                continue
+            return _fail(
+                horizon, n, Counterexample(_text_word(key, seq.alphabet), start, L)
+            )
     return Verdict("pass", horizon, note="pass-at-horizon")
+
+
+def _sap_rule(horizon, recur_fraction, gap_fraction):
+    """The per-factor test of check_sap at one horizon.
+
+    Returns fault(first, last, maxgap): "recur" when the factor's last start
+    lies before horizon*recur_fraction, "gap" when its first start or a
+    start-gap exceeds horizon*gap_fraction, None when it passes.
+    """
+    recur_cut = horizon * recur_fraction
+    gap_cut = horizon * gap_fraction
+
+    def fault(first, last, maxgap):
+        if last < recur_cut:
+            return "recur"
+        if max(first, maxgap) > gap_cut:
+            return "gap"
+        return None
+
+    return fault
 
 
 def check_sap(seq, horizon, n_max, recur_fraction=0.5, gap_fraction=0.25,
@@ -224,28 +245,25 @@ def check_sap(seq, horizon, n_max, recur_fraction=0.5, gap_fraction=0.25,
     if horizon < n_max:
         return Verdict("inconclusive", horizon, note="horizon smaller than n_max")
     text = _seq_text(seq, 0, horizon - 1)
-    recur_cut = horizon * recur_fraction
-    gap_cut = horizon * gap_fraction
+    fault = _sap_rule(horizon, recur_fraction, gap_fraction)
     failures = []
     count = 0
     for n in range(1, n_max + 1):
         for key, (first, last, maxgap, gap_prev) in _factor_stats(text, n).items():
-            ce = None
-            if last < recur_cut:
-                ce = Counterexample(
-                    _text_word(key, seq.alphabet), last + 1, horizon - (last + 1)
+            kind = fault(first, last, maxgap)
+            if kind is None:
+                continue
+            if kind == "recur":
+                start, length = last + 1, horizon - (last + 1)
+            elif first >= maxgap:
+                start, length = 0, first - 1 + n
+            else:
+                start, length = gap_prev + 1, maxgap - 2 + n
+            count += 1
+            if len(failures) < max_failures:
+                failures.append(
+                    (n, Counterexample(_text_word(key, seq.alphabet), start, length))
                 )
-            elif max(first, maxgap) > gap_cut:
-                if first >= maxgap:
-                    ce = Counterexample(_text_word(key, seq.alphabet), 0, first - 1 + n)
-                else:
-                    ce = Counterexample(
-                        _text_word(key, seq.alphabet), gap_prev + 1, maxgap - 2 + n
-                    )
-            if ce is not None:
-                count += 1
-                if len(failures) < max_failures:
-                    failures.append((n, ce))
     if count:
         return Verdict(
             "fail", horizon, counterexample=failures[0][1],
@@ -254,33 +272,53 @@ def check_sap(seq, horizon, n_max, recur_fraction=0.5, gap_fraction=0.25,
     return Verdict("pass", horizon, note="pass-at-horizon")
 
 
+def _run_length(text, a, b, cap):
+    """Length of the common prefix of text[a:] and text[b:], at most cap.
+
+    Binary search with slice compares: O(log cap) steps in Python.
+    """
+    lo, hi = 0, cap
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if text[a + lo:a + mid] == text[b + lo:b + mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def is_cube_free(w):
     """Whether no non-empty u has uuu as a factor of w.
 
-    Per period p, agreement runs between w and its shift by p are grown
-    around anchors at multiples of p; a run of length >= 2p is a cube.
+    A cube of period p holds an anchor t = kp (k >= 1) whose p-blocks
+    w[t:t+p] and w[t+p:t+2p] are equal; an anchor where they differ has a
+    forward agreement run f < p between w and its shift by p, and at most p
+    agreeing letters before t, so it holds no cube.  Per period, the full
+    p-blocks are therefore streamed and compared with their right neighbours
+    in C.  At a matching anchor, f is grown past p with slice compares
+    (capped at 2p) and one slice compare tests the 2p - f letters before t;
+    only a confirmed cube counts the agreeing letters before t one by one,
+    capped at p, for the witness start.  The witness is the first cube in
+    (period, anchor) order.
     """
     text = _encode(w.symbols, w.alphabet)
     n = len(text)
     for p in range(1, n // 3 + 1):
-        t = p
-        while t + p <= n:
-            f = 0
-            while t + p + f < n and text[t + f] == text[t + p + f]:
-                f += 1
+        blocks = map(text.__getitem__,
+                     map(slice, range(p, n - p + 1, p), range(2 * p, n + 1, p)))
+        for k in compress(count(1), starmap(eq, pairwise(blocks))):
+            t = k * p
+            f = p + _run_length(text, t + p, t + 2 * p, min(p, n - t - 2 * p))
+            need = 2 * p - f
+            if text[t - need:t] != text[t + p - need:t + p]:
+                continue
             b = 0
-            while b < p and t - 1 - b >= 0 and text[t - 1 - b] == text[t + p - 1 - b]:
+            while b < p and text[t - 1 - b] == text[t + p - 1 - b]:
                 b += 1
-            if b + f >= 2 * p:
-                i = t - b
-                factor = _text_word(text[i:i + p], w.alphabet)
-                return Verdict(
-                    "fail", n,
-                    counterexample=Counterexample(factor, i, 3 * p),
-                    failures=((p, Counterexample(factor, i, 3 * p)),),
-                    failure_count=1,
-                )
-            t += p
+            i = t - b
+            return _fail(
+                n, p, Counterexample(_text_word(text[i:i + p], w.alphabet), i, 3 * p)
+            )
     return Verdict("pass", n)
 
 
@@ -294,12 +332,35 @@ def default_cut_grid(horizon):
     return cuts
 
 
-def pr_upper_estimate(seq, horizon, n_max, cut_grid=None, **sap_kwargs):
+def _factor_positions(text, n):
+    """One forward pass: factor -> ascending start positions."""
+    positions = {}
+    for i in range(len(text) - n + 1):
+        key = text[i:i + n]
+        pos = positions.get(key)
+        if pos is None:
+            positions[key] = [i]
+        else:
+            pos.append(i)
+    return positions
+
+
+def pr_upper_estimate(seq, horizon, n_max, cut_grid=None, recur_fraction=0.5,
+                      gap_fraction=0.25):
     """Smallest sampled cut whose suffix passes the recurrence falsifier.
 
     This is an upper estimate of the minimal uniformly-recurrent suffix cut,
     valid only at the horizon and factor lengths scanned; returns None when
-    no sampled cut passes.
+    no sampled cut passes.  By definition it is the first cut c of the sorted
+    grid (stopping at the first c with horizon - c < n_max) for which
+    check_sap(seq.suffix(c), horizon - c, n_max) passes.
+
+    The prefix from the smallest cut is encoded once.  Per factor length n,
+    one forward pass lists every factor's start positions and the suffix
+    maxima of its start-gaps; each cut still alive then reads its first,
+    last and widest start-gap per factor by one bisection and is judged by
+    the same per-factor rule as check_sap.  A cut is dropped at its first
+    failing factor.
 
     At a finite n_max, a sequence with no uniformly recurrent suffix can
     still have a passing cut: every non-recurring factor past that cut may be
@@ -308,13 +369,44 @@ def pr_upper_estimate(seq, horizon, n_max, cut_grid=None, **sap_kwargs):
     """
     if cut_grid is None:
         cut_grid = default_cut_grid(horizon)
-    for c in sorted(cut_grid):
-        if horizon - c < n_max:
-            break
-        v = check_sap(seq.suffix(c), horizon - c, n_max, **sap_kwargs)
-        if v.status == "pass":
-            return c
-    return None
+    live = list(takewhile(lambda c: horizon - c >= n_max, sorted(cut_grid)))
+    if not live:
+        return None
+    base = live[0]
+    # the errors of the definition's first check, in its order
+    suffix = seq.suffix(base)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    text = _seq_text(suffix, 0, horizon - base - 1)
+    rules = {c: _sap_rule(horizon - c, recur_fraction, gap_fraction) for c in live}
+    for n in range(1, n_max + 1):
+        # A start-gap no wider than the gap cut of the largest live cut fails
+        # no live cut, so a factor without a wider gap skips its suffix
+        # maxima and is judged with 0 in their place.
+        gap_floor = (horizon - live[-1]) * gap_fraction
+        factors = []
+        for pos in _factor_positions(text, n).values():
+            gaps = list(map(sub, pos[1:], pos))
+            tailmax = None
+            if max(gaps, default=0) > gap_floor:
+                tailmax = list(accumulate(reversed(gaps), max, initial=0))
+                tailmax.reverse()
+            factors.append((pos, tailmax))
+        live = [c for c in live if _cut_passes(factors, c - base, rules[c])]
+        if not live:
+            return None
+    return live[0]
+
+
+def _cut_passes(factors, d, fault):
+    """Whether every factor starting at or past offset d passes fault."""
+    for pos, tailmax in factors:
+        k = bisect_left(pos, d)
+        if k == len(pos):
+            continue  # the factor starts only before the cut
+        if fault(pos[k] - d, pos[-1] - d, tailmax[k] if tailmax else 0):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

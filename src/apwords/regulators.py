@@ -35,14 +35,12 @@ class Regulator:
         v = self._fn(n)
         if v > self.ceiling:
             raise ResourceLimitError(f"regulator value {v} exceeds ceiling")
+        if v < n:
+            raise ValueError(f"{self.description}: r({n}) = {v} < {n}")
         return v
 
     def __repr__(self):
         return f"Regulator({self.description!r}, {self.provenance})"
-
-
-def reg_eval(r, n):
-    return r(n)
 
 
 def identity_plus(c):
@@ -61,6 +59,8 @@ def linear(a, b):
 
 def periodic_regulator(period):
     """r(n) = n + period - 1, valid for any sequence of the given period."""
+    if period < 1:
+        raise ValueError("period must be >= 1")
     return Regulator(
         lambda n: n + period - 1, "explicit-formula", f"periodic:{period}"
     )
@@ -145,8 +145,18 @@ def reg_reversible_distance(r, x_len, m):
 
 
 def table_regulator(table, description="table"):
-    """Regulator backed by an explicit table; arguments beyond it error."""
+    """Regulator backed by an explicit table; arguments beyond it error.
+
+    The table must satisfy r(n) >= n and be non-decreasing in n.
+    """
     table = dict(table)
+    prev = 0
+    for n, v in sorted(table.items()):
+        if v < max(n, prev):
+            raise ValueError(
+                f"{description}: r({n}) = {v} is below n or an earlier value"
+            )
+        prev = v
 
     def fn(n):
         if n not in table:

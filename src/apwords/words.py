@@ -797,25 +797,6 @@ class SpecNode:
     args: tuple = ()
     children: tuple = ()
 
-    def text(self):
-        if self.kind in ("tm", "thm21"):
-            return self.kind
-        if self.kind == "periodic":
-            return f"periodic:{self.args[0]}"
-        if self.kind == "thm21tau":
-            return f"thm21tau:{self.args[0]}"
-        if self.kind == "prepend":
-            return f"prepend:{self.args[0]}:{self.children[0].text()}"
-        if self.kind == "suffix":
-            return f"suffix:{self.args[0]}:{self.children[0].text()}"
-        if self.kind == "product":
-            return f"product:{self.children[0].text()},{self.children[1].text()}"
-        if self.kind == "scheme":
-            return f"scheme:{self.args[0]}"
-        if self.kind == "fixture":
-            return f"fixture:tm-triple:{self.args[0]}"
-        raise ValueError(f"unknown node kind {self.kind!r}")
-
 
 def _take_token(text, pos, stop=":,"):
     end = pos

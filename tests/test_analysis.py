@@ -1,13 +1,16 @@
 """Brute-force oracles: occurrence scans, regulators, SAP, cubes, pr bounds."""
 
 import functools
+import random
 
 import pytest
 
 import apwords as ap
 from apwords import (
     Alphabet,
+    Counterexample,
     Regulator,
+    Verdict,
     aligned_occurrences,
     check_regulator,
     check_sap,
@@ -19,6 +22,7 @@ from apwords import (
     periodic,
     periodic_regulator,
     pr_upper_estimate,
+    prepend,
     read,
     reg_thm21,
     scaled,
@@ -29,6 +33,7 @@ from apwords import (
     verdict_tsv,
     word,
 )
+from apwords.words import Word
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,6 +205,75 @@ def test_cube_free_vs_naive_oracle():
         assert got == naive(text)
 
 
+def cube_scan_per_letter(w):
+    """Reference cube scan: per period p and anchor t = kp (k >= 1), grow the
+    agreement run between w and its shift by p letter by letter, forward
+    without a cap and backward up to p letters; a run of length >= 2p is a
+    cube starting where the backward run ends."""
+    s = w.symbols
+    n = len(s)
+    for p in range(1, n // 3 + 1):
+        t = p
+        while t + p <= n:
+            f = 0
+            while t + p + f < n and s[t + f] == s[t + p + f]:
+                f += 1
+            b = 0
+            while b < p and t - 1 - b >= 0 and s[t - 1 - b] == s[t + p - 1 - b]:
+                b += 1
+            if b + f >= 2 * p:
+                i = t - b
+                ce = Counterexample(Word(w.alphabet, s[i:i + p]), i, 3 * p)
+                return Verdict("fail", n, counterexample=ce,
+                               failures=((p, ce),), failure_count=1)
+            t += p
+    return Verdict("pass", n)
+
+
+def test_cube_free_matches_per_letter_scan_on_random_words():
+    rng = random.Random(20261018)
+    verdicts = set()
+    for _ in range(2000):
+        letters = "abc"[:rng.randint(1, 3)]
+        text = "".join(rng.choice(letters) for _ in range(rng.randint(0, 300)))
+        w = word(text, Alphabet(tuple(letters)))
+        got = is_cube_free(w)
+        assert got == cube_scan_per_letter(w), text
+        verdicts.add(got.status)
+    assert verdicts == {"pass", "fail"}
+
+
+def _random_cube_spec(rng, family):
+    """One spec of a cube family of the bench's oracles-random job list."""
+    def draw(letters, lo, hi):
+        return "".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+    if family == "periodic":
+        return "periodic:" + draw("012", 1, 6)
+    if family == "prepend":
+        return "prepend:" + draw("01", 1, 5) + ":tm"
+    if family == "thm21tau":
+        return "thm21tau:" + draw("45", 1, 3)
+    if family == "fixture":
+        return f"fixture:tm-triple:{rng.randint(0, 3)}"
+    return f"product:{rng.choice(('tm', 'thm21'))},periodic:" + draw("ab", 1, 4)
+
+
+def test_cube_free_matches_per_letter_scan_on_cube_families():
+    rng = random.Random(4)
+    verdicts = set()
+    for family in ("periodic", "prepend", "thm21tau", "fixture", "product"):
+        for _ in range(2):
+            seq = make_sequence(_random_cube_spec(rng, family))
+            for h in (2 ** 9, 2 ** 10, 2 ** 11, 2 ** 12):
+                w = read(seq, 0, h - 1)
+                got = is_cube_free(w)
+                assert got == cube_scan_per_letter(w), (seq.description, h)
+                verdicts.add(got.status)
+    assert verdicts == {"pass", "fail"}
+    tm = read(thue_morse(), 0, 2 ** 15 - 1)
+    assert is_cube_free(tm) == cube_scan_per_letter(tm) == Verdict("pass", 2 ** 15)
+
+
 def test_default_cut_grid():
     assert default_cut_grid(64) == [0, 1, 2, 4, 8, 16, 32]
     assert default_cut_grid(2) == [0, 1]
@@ -213,6 +287,76 @@ def test_pr_estimate_triple_block_fixture_is_positive():
     # the prepended cube 010101 never recurs in the tail, so cut 0 fails
     est = pr_upper_estimate(tm_triple_fixture(1), 2 ** 12, 8)
     assert est is not None and est >= 1
+
+
+def pr_by_cuts(seq, horizon, n_max, cut_grid=None, **fractions):
+    """Reference pr estimate: the first sorted cut c, before the first with
+    horizon - c < n_max, at which check_sap(seq.suffix(c), ...) passes."""
+    grid = default_cut_grid(horizon) if cut_grid is None else cut_grid
+    for c in sorted(grid):
+        if horizon - c < n_max:
+            break
+        if check_sap(seq.suffix(c), horizon - c, n_max, **fractions).passed:
+            return c
+    return None
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_pr_estimate_matches_per_cut_definition():
+    rng = random.Random(77)
+    families = ("periodic", "prepend", "thm21tau", "fixture", "product")
+    estimates = set()
+    for i in range(60):
+        spec = rng.choice(("tm", "thm21") + families)
+        if spec in families:
+            spec = _random_cube_spec(rng, spec)
+        seq = make_sequence(spec)
+        horizon = rng.randint(2 ** 6, 2 ** 10)
+        n_max = rng.randint(1, 10)
+        kwargs = {}
+        if i % 3 == 1:
+            # unsorted, with duplicates and cuts past horizon - n_max
+            kwargs["cut_grid"] = [rng.randint(0, horizon) for _ in range(8)] * 2
+        if i % 2 == 1:
+            kwargs["recur_fraction"] = rng.choice((0.3, 0.5, 0.7))
+            kwargs["gap_fraction"] = rng.choice((0.1, 0.25, 0.4))
+        got = pr_upper_estimate(seq, horizon, n_max, **kwargs)
+        assert got == pr_by_cuts(seq, horizon, n_max, **kwargs), (spec, horizon, n_max, kwargs)
+        estimates.add(got if got in (None, 0) else "positive")
+    assert estimates == {None, 0, "positive"}
+
+
+def test_pr_estimate_judges_gaps_past_the_cut_only():
+    # "0" starts at 0, is absent for 1100 letters, then recurs every 3: its
+    # widest start-gap lies before cut 128, which passes
+    seq = prepend(word("0" + "1" * 1099), periodic(word("011")))
+    assert pr_upper_estimate(seq, 4096, 2) == pr_by_cuts(seq, 4096, 2) == 128
+
+
+def test_pr_estimate_thm21_at_cap_60():
+    h = 5 ** 6
+    assert pr_upper_estimate(thm21(), h, 60) == pr_by_cuts(thm21(), h, 60) == 128
+
+
+def test_pr_estimate_errors_match_per_cut_definition():
+    tm = thue_morse()
+    for args, kwargs in [
+        ((tm, 256, 0), {}),
+        ((tm, 256, -3), {}),
+        ((tm, 256, 4), {"cut_grid": [8, -2, 0]}),
+        ((tm, 256, 0), {"cut_grid": [-1]}),
+        ((tm, 256, 4), {"cut_grid": [300, -1]}),  # stops before any cut
+    ]:
+        got = _outcome(pr_upper_estimate, *args, **kwargs)
+        assert got == _outcome(pr_by_cuts, *args, **kwargs), (args, kwargs)
+    assert _outcome(pr_upper_estimate, tm, 256, 0)[0] is ValueError
+    assert _outcome(pr_upper_estimate, tm, 256, 4, cut_grid=[-1])[0] is ValueError
 
 
 def test_verdict_report_shape():

@@ -89,6 +89,17 @@ def test_reduce_merge2(capsys, tmp_path):
     assert payload["final_reversible"] is True
 
 
+def test_bad_empirical_table_exit_2(capsys, tmp_path):
+    reg = tmp_path / "bad.reg"
+    reg.write_text("1 3\n2 9\n3 8\n")
+    code, _ = run_cli(
+        capsys,
+        ["check-regulator", "--spec", "tm", "--reg", f"empirical:{reg}",
+         "--horizon", "1024", "--nmax", "3"],
+    )
+    assert code == 2
+
+
 def test_check_regulator_pass(capsys):
     code, out = run_cli(
         capsys,

@@ -12,7 +12,6 @@ from apwords import (
     parse_regulator,
     periodic_regulator,
     pointwise_max,
-    reg_eval,
     reg_iterated_bound,
     reg_reversible_distance,
     reg_split,
@@ -24,10 +23,6 @@ from apwords import (
 
 def ident():
     return Regulator(lambda n: n, "derived", "identity")
-
-
-def test_reg_eval_identity():
-    assert reg_eval(ident(), 7) == 7
 
 
 def test_quintuple_regulator_values():
@@ -111,6 +106,29 @@ def test_periodic_regulator():
     r = periodic_regulator(3)
     assert r(1) == 3
     assert r(4) == 6
+
+
+def test_periodic_regulator_rejects_period_below_one():
+    for period in (0, -2):
+        with pytest.raises(ValueError):
+            periodic_regulator(period)
+
+
+def test_call_rejects_value_below_length():
+    r = Regulator(lambda n: 2 if n < 3 else n - 1, "derived", "short")
+    assert r(2) == 2
+    with pytest.raises(ValueError):
+        r(3)
+
+
+def test_table_regulator_rejects_bad_tables(tmp_path):
+    for table in ({1: 3, 2: 9, 3: 8}, {1: 1, 2: 1}, {2: 5, 1: 6}):
+        with pytest.raises(ValueError):
+            table_regulator(table)
+    p = tmp_path / "bad.reg"
+    p.write_text("1 3\n2 9\n3 8\n")
+    with pytest.raises(ValueError):
+        load_table_regulator(str(p))
 
 
 def test_resource_ceiling():

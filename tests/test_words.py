@@ -303,23 +303,6 @@ def test_parse_spec_tau_pattern():
     assert read(make_sequence("thm21tau:455"), 0, 4).text() == "11111"
 
 
-def test_spec_text_roundtrip():
-    for text in [
-        "tm",
-        "thm21",
-        "periodic:abc",
-        "suffix:3:periodic:abc",
-        "prepend:01:tm",
-        "product:tm,periodic:01",
-        "thm21tau:455",
-        "fixture:tm-triple:2",
-        "product:suffix:2:tm,prepend:1:thm21",
-    ]:
-        node = parse_spec(text)
-        assert node.text() == text
-        assert parse_spec(node.text()).text() == text
-
-
 def test_make_sequence_rejects_garbage():
     for bad in ["", "nope", "suffix:tm", "product:tm", "periodic:", "thm21tau:46"]:
         with pytest.raises((SpecParseError, ValueError)):
