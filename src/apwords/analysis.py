@@ -7,10 +7,11 @@ only (reported as pass-at-horizon), never a proof of membership.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count, pairwise, starmap, takewhile
-from operator import eq, sub
+from itertools import compress, count, islice, pairwise, starmap, takewhile
+from operator import eq, itemgetter, sub
 
 from .errors import ResourceLimitError
 from .regulators import Regulator
@@ -93,26 +94,159 @@ def aligned_occurrences(x, seq, k, lo, hi):
     return [i for i in occurrences(x, seq, lo, hi) if i % k == 0]
 
 
+# Positions are held in array('i') and turned into Python ints this many at
+# a time, so no pass builds a list as long as the text.
+_SLICE = 4096
+
+
+def _widest_gap(pos, lo=0):
+    """(width, start) of the first widest start-gap in pos[lo:].
+
+    (0, pos[lo]) when pos[lo:] holds one start.
+    """
+    width, at = 0, pos[lo]
+    for k in range(lo, len(pos) - 1, _SLICE):
+        chunk = pos[k:k + _SLICE + 1].tolist()
+        gaps = list(map(sub, islice(chunk, 1, None), chunk))
+        widest = max(gaps)
+        if widest > width:
+            width, at = widest, chunk[gaps.index(widest)]
+    return width, at
+
+
+def _entry(pos):
+    """[first, last, maxgap, gap_prev, positions] of ascending starts."""
+    return [pos[0], pos[-1], *_widest_gap(pos), pos]
+
+
+def _split(pos, stop, nxt):
+    """The starts pos[:stop] grouped by their next letter nxt[p].
+
+    Each group is ascending; the groups come in no set order.  A slice of
+    starts costs one C-level pass per distinct next letter in it.
+    """
+    groups = {}
+    for k in range(0, stop, _SLICE):
+        chunk = list(pos[k:min(k + _SLICE, stop)])
+        letters = "".join(itemgetter(*chunk)(nxt))
+        kinds = set(letters)
+        select = dict.fromkeys(map(ord, kinds), 0)
+        for a in kinds:
+            # a bytes mask of the starts followed by a, for compress()
+            select[ord(a)] = 1
+            mask = letters.translate(select).encode()
+            select[ord(a)] = 0
+            group = groups.get(a)
+            if group is None:
+                group = groups[a] = array("i")
+            group.fromlist(list(compress(chunk, mask)))
+    return list(groups.values())
+
+
+def _letter_codes(text):
+    """text with each distinct letter replaced by one code point, below 256
+    for up to 256 distinct letters.
+
+    Reading such a letter returns a cached one-char string, so no next-letter
+    read allocates.  The private-use letters _seq_text writes for alphabets of
+    up to 256 symbols are mapped by their low byte, in C; any other text
+    goes through str.translate.
+    """
+    raw = text.encode("utf-16-le", "surrogatepass")
+    if raw[1::2] == bytes([_PUA >> 8]) * len(text):
+        return raw[::2].decode("latin-1")
+    return text.translate({ord(c): i for i, c in enumerate(set(text))})
+
+
+class FactorIndex:
+    """Every factor of one text at a factor length n, refined one n at a time.
+
+    Level n lists the distinct length-n factors in order of first
+    occurrence, each with its ascending start positions (an array('i')) and
+    its stats [first, last, maxgap, gap_prev]: first and last start, the
+    widest start-gap and the start that opens the first widest gap (maxgap
+    0 and gap_prev = first for a factor that occurs once).
+
+    Level n + 1 is made from level n.  A factor u can have two right
+    extensions only if its suffix u[1:] had two at the level before
+    (Cassaigne, Recurrence in infinite words, STACS 2001), so only those
+    factors have their starts split by next letter; every other factor
+    keeps its starts and stats, except the one factor that starts at
+    len(text) - n, which loses that start and is summarized again.  Python
+    work per level is one step per factor plus C-level passes over the
+    starts of factors that can branch.
+
+    The index moves forward only; asking for a smaller n than the current
+    one rebuilds it from n = 0.
+    """
+
+    def __init__(self, text):
+        self._text = text
+        self._codes = _letter_codes(text)
+        self._reset()
+
+    def _reset(self):
+        # Level 0: the empty factor, starting everywhere; its starts are split
+        # into arrays at once.
+        end = len(self._text)
+        self._n = 0
+        self._level = [[0, end, min(end, 1), 0, range(end + 1)]]
+        # The suffix test of the empty factor reads text[1:0] == "", so the
+        # single factor of level 0 is always split.
+        self._branched = {""}
+
+    def _advance(self):
+        n, text, branched = self._n, self._text, self._branched
+        end = len(text) - n  # a length-n factor starting here has no next letter
+        nxt = self._codes[n:]
+        level, self._branched = [], set()
+        for entry in self._level:
+            first, last, _, _, pos = entry
+            stop = len(pos) - (last == end)
+            if stop > 1 and text[first + 1:first + n] in branched:
+                groups = _split(pos, stop, nxt)
+                if len(groups) > 1:
+                    self._branched.add(text[first:first + n])
+                level.extend(map(_entry, groups))
+            elif stop == len(pos):
+                level.append(entry)
+            elif stop:
+                level.append(_entry(pos[:stop]))
+        level.sort(key=itemgetter(0))
+        self._level, self._n = level, n + 1
+
+    def _at(self, n):
+        if n < 0:
+            raise ValueError("factor length must be >= 0")
+        if n < self._n:
+            self._reset()
+        while self._n < n and self._level:
+            self._advance()
+        return self._level if self._n == n else []
+
+    def stats(self, n):
+        """factor -> [first, last, maxgap, gap_prev] at length n, in order of
+        first occurrence (fresh lists)."""
+        text = self._text
+        return {text[e[0]:e[0] + n]: e[:4] for e in self._at(n)}
+
+    def positions(self, n):
+        """factor -> its ascending start positions at length n, in order of
+        first occurrence: an array('i') owned by the index (read, do not
+        modify), or a range for the empty factor at n = 0."""
+        text = self._text
+        return {text[e[0]:e[0] + n]: e[4] for e in self._at(n)}
+
+
 def _factor_stats(text, n):
-    """One forward pass: factor -> (first, last, maxgap, maxgap_prev_start).
+    """factor -> [first, last, maxgap, gap_prev] for the length-n factors of
+    text, in order of first occurrence; the same as FactorIndex(text).stats(n).
 
     Gaps are start-to-start distances between consecutive occurrences; the
     gap from position 0 to the first occurrence is folded in by the callers
     that want it.
     """
-    stats = {}
-    for i in range(len(text) - n + 1):
-        key = text[i:i + n]
-        cur = stats.get(key)
-        if cur is None:
-            stats[key] = [i, i, 0, i]
-        else:
-            gap = i - cur[1]
-            if gap > cur[2]:
-                cur[2] = gap
-                cur[3] = cur[1]
-            cur[1] = i
-    return stats
+    return FactorIndex(text).stats(n)
 
 
 class EmpiricalRegulator:
@@ -121,8 +255,10 @@ class EmpiricalRegulator:
     B(n) = (n-1) + the maximal start-gap of any length-n factor of the
     prefix, counting the gap from position 0 to the first occurrence
     (single-occurrence factors contribute only that); clamped to >= n.
-    Values are computed on demand from the cached prefix, one O(horizon)
-    pass per distinct n.
+    Values are computed on demand from one FactorIndex of the prefix.  The
+    index only moves forward, so the worst gap of every length it passes is
+    kept: asking for B(82) and then B(76) refines the index once.  ``table``
+    holds only the values asked for.
     """
 
     def __init__(self, seq, horizon, n_max=None):
@@ -130,7 +266,8 @@ class EmpiricalRegulator:
             raise ValueError("horizon must be >= 1")
         self.seq = seq
         self.horizon = horizon
-        self._text = _seq_text(seq, 0, horizon - 1)
+        self._index = FactorIndex(_seq_text(seq, 0, horizon - 1))
+        self._worst = {}  # n -> widest first start or start-gap, n = 1, 2, ...
         self._table = {}
         if n_max is not None:
             if n_max < 1 or horizon < n_max:
@@ -147,10 +284,11 @@ class EmpiricalRegulator:
             )
         v = self._table.get(n)
         if v is None:
-            stats = _factor_stats(self._text, n)
-            worst = max(max(first, maxgap) for first, _, maxgap, _ in stats.values())
-            v = max(n, (n - 1) + worst)
-            self._table[n] = v
+            while n not in self._worst:
+                m = len(self._worst) + 1
+                self._worst[m] = max(max(first, maxgap) for first, _, maxgap, _
+                                     in self._index.stats(m).values())
+            v = self._table[n] = max(n, (n - 1) + self._worst[n])
         return v
 
     @property
@@ -186,7 +324,7 @@ def check_regulator(seq, reg, horizon, n_max):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    text = _seq_text(seq, 0, horizon - 1)
+    index = FactorIndex(_seq_text(seq, 0, horizon - 1))
     for n in range(1, n_max + 1):
         L = reg(n)
         if L > horizon:
@@ -194,7 +332,7 @@ def check_regulator(seq, reg, horizon, n_max):
                 "inconclusive", horizon,
                 note=f"horizon {horizon} < window {L} required at n={n}",
             )
-        for key, (first, last, maxgap, gap_prev) in _factor_stats(text, n).items():
+        for key, (first, last, maxgap, gap_prev) in index.stats(n).items():
             if last < L:
                 continue  # occurs finitely by the cutoff condition
             if first > L - n:
@@ -244,12 +382,12 @@ def check_sap(seq, horizon, n_max, recur_fraction=0.5, gap_fraction=0.25,
         raise ValueError("n_max must be >= 1")
     if horizon < n_max:
         return Verdict("inconclusive", horizon, note="horizon smaller than n_max")
-    text = _seq_text(seq, 0, horizon - 1)
+    index = FactorIndex(_seq_text(seq, 0, horizon - 1))
     fault = _sap_rule(horizon, recur_fraction, gap_fraction)
     failures = []
     count = 0
     for n in range(1, n_max + 1):
-        for key, (first, last, maxgap, gap_prev) in _factor_stats(text, n).items():
+        for key, (first, last, maxgap, gap_prev) in index.stats(n).items():
             kind = fault(first, last, maxgap)
             if kind is None:
                 continue
@@ -332,19 +470,6 @@ def default_cut_grid(horizon):
     return cuts
 
 
-def _factor_positions(text, n):
-    """One forward pass: factor -> ascending start positions."""
-    positions = {}
-    for i in range(len(text) - n + 1):
-        key = text[i:i + n]
-        pos = positions.get(key)
-        if pos is None:
-            positions[key] = [i]
-        else:
-            pos.append(i)
-    return positions
-
-
 def pr_upper_estimate(seq, horizon, n_max, cut_grid=None, recur_fraction=0.5,
                       gap_fraction=0.25):
     """Smallest sampled cut whose suffix passes the recurrence falsifier.
@@ -355,11 +480,13 @@ def pr_upper_estimate(seq, horizon, n_max, cut_grid=None, recur_fraction=0.5,
     grid (stopping at the first c with horizon - c < n_max) for which
     check_sap(seq.suffix(c), horizon - c, n_max) passes.
 
-    The prefix from the smallest cut is encoded once.  Per factor length n,
-    one forward pass lists every factor's start positions and the suffix
-    maxima of its start-gaps; each cut still alive then reads its first,
-    last and widest start-gap per factor by one bisection and is judged by
-    the same per-factor rule as check_sap.  A cut is dropped at its first
+    The prefix from the smallest cut is encoded once, into one FactorIndex.
+    Per factor length n, each cut still alive reads every factor's first
+    and last start past it by one bisection of the factor's starts and is
+    judged by the same per-factor rule as check_sap.  The factor's widest
+    start-gap stands in for the widest one past the cut, which it bounds;
+    the gaps past the cut are scanned only when that gap opens before the
+    cut and the factor fails with it.  A cut is dropped at its first
     failing factor.
 
     At a finite n_max, a sequence with no uniformly recurrent suffix can
@@ -377,21 +504,10 @@ def pr_upper_estimate(seq, horizon, n_max, cut_grid=None, recur_fraction=0.5,
     suffix = seq.suffix(base)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    text = _seq_text(suffix, 0, horizon - base - 1)
+    index = FactorIndex(_seq_text(suffix, 0, horizon - base - 1))
     rules = {c: _sap_rule(horizon - c, recur_fraction, gap_fraction) for c in live}
     for n in range(1, n_max + 1):
-        # A start-gap no wider than the gap cut of the largest live cut fails
-        # no live cut, so a factor without a wider gap skips its suffix
-        # maxima and is judged with 0 in their place.
-        gap_floor = (horizon - live[-1]) * gap_fraction
-        factors = []
-        for pos in _factor_positions(text, n).values():
-            gaps = list(map(sub, pos[1:], pos))
-            tailmax = None
-            if max(gaps, default=0) > gap_floor:
-                tailmax = list(accumulate(reversed(gaps), max, initial=0))
-                tailmax.reverse()
-            factors.append((pos, tailmax))
+        factors = list(zip(index.positions(n).values(), index.stats(n).values()))
         live = [c for c in live if _cut_passes(factors, c - base, rules[c])]
         if not live:
             return None
@@ -400,11 +516,15 @@ def pr_upper_estimate(seq, horizon, n_max, cut_grid=None, recur_fraction=0.5,
 
 def _cut_passes(factors, d, fault):
     """Whether every factor starting at or past offset d passes fault."""
-    for pos, tailmax in factors:
-        k = bisect_left(pos, d)
-        if k == len(pos):
+    for pos, (_, last, maxgap, gap_prev) in factors:
+        if last < d:
             continue  # the factor starts only before the cut
-        if fault(pos[k] - d, pos[-1] - d, tailmax[k] if tailmax else 0):
+        k = bisect_left(pos, d)
+        kind = fault(pos[k] - d, last - d, maxgap)
+        if kind == "gap" and gap_prev < d:
+            # the widest gap opens before the cut: judge the gaps past it
+            kind = fault(pos[k] - d, last - d, _widest_gap(pos, k)[0])
+        if kind:
             return False
     return True
 

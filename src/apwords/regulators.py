@@ -51,9 +51,11 @@ def identity_plus(c):
 
 
 def linear(a, b):
-    """r(n) = a*n + b."""
+    """r(n) = a*n + b; r(n) >= n for every n >= 1 needs a >= 1 and a + b >= 1."""
     if a < 1:
         raise ValueError("slope must be >= 1 for r(n) >= n")
+    if a + b < 1:
+        raise ValueError(f"lin:{a}:{b} gives r(1) = {a + b} < 1")
     return Regulator(lambda n: a * n + b, "explicit-formula", f"lin:{a}:{b}")
 
 

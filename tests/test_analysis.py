@@ -1,6 +1,7 @@
 """Brute-force oracles: occurrence scans, regulators, SAP, cubes, pr bounds."""
 
 import functools
+import math
 import random
 
 import pytest
@@ -33,6 +34,7 @@ from apwords import (
     verdict_tsv,
     word,
 )
+from apwords.analysis import FactorIndex, _factor_stats, _seq_text
 from apwords.words import Word
 
 
@@ -112,6 +114,195 @@ def test_empirical_regulator_horizon_guard():
     B = empirical_regulator(thue_morse(), 64)
     with pytest.raises(ap.ResourceLimitError):
         B.value(40)
+
+
+def factor_stats_per_position(text, n):
+    """Reference factor statistics: one forward pass over every start of
+    the text, factor -> [first, last, maxgap, gap_prev]."""
+    stats = {}
+    for i in range(len(text) - n + 1):
+        key = text[i:i + n]
+        cur = stats.get(key)
+        if cur is None:
+            stats[key] = [i, i, 0, i]
+        else:
+            gap = i - cur[1]
+            if gap > cur[2]:
+                cur[2] = gap
+                cur[3] = cur[1]
+            cur[1] = i
+    return stats
+
+
+def _assert_index_matches(index, text, ns):
+    for n in ns:
+        want = factor_stats_per_position(text, n)
+        # dict equality ignores order: compare the item lists
+        assert list(index.stats(n).items()) == list(want.items()), (text, n)
+
+
+def test_factor_index_matches_per_position_scan_on_seeded_texts():
+    rng = random.Random(20261019)
+    for i in range(3000):
+        # private-use letters as _seq_text writes them, or other letters
+        alphabet = "\ue000\ue001\ue002\ue003" if i % 4 < 2 else "abcd"
+        letters = alphabet[:rng.randint(1, 4)]
+        # lengths 1..300, most of them short: checking every n costs length^2
+        length = rng.randint(1, 300 if i % 60 == 0 else 30)
+        if i % 2:
+            period = "".join(rng.choice(letters) for _ in range(rng.randint(1, 9)))
+            text = (period * length)[:length]
+        else:
+            text = "".join(rng.choice(letters) for _ in range(length))
+        ns = list(range(length + 2))
+        if i % 5 == 0:
+            # a smaller n after a larger one rebuilds the index
+            ns += [rng.randint(0, length)]
+        _assert_index_matches(FactorIndex(text), text, ns)
+
+
+def test_factor_index_matches_per_position_scan_on_a_large_alphabet():
+    # 300 symbols: letter codes past 255 are not cached one-char strings
+    rng = random.Random(300)
+    text = "".join(chr(0xE000 + rng.randrange(300)) for _ in range(600))
+    text += text[:150]  # some factors longer than one letter repeat
+    assert len(set(text)) > 256
+    _assert_index_matches(FactorIndex(text), text, range(len(text) + 1))
+
+
+def test_factor_index_matches_per_position_scan_on_thue_morse():
+    text = _seq_text(thue_morse(), 0, 2 ** 16 - 1)
+    index = FactorIndex(text)
+    _assert_index_matches(index, text, [*range(1, 13), 88])
+    for key, pos in index.positions(88).items():
+        assert pos[0] == text.find(key) and pos[-1] == text.rfind(key)
+    assert _factor_stats(text, 5) == factor_stats_per_position(text, 5)
+
+
+def test_factor_index_reads_gaps_across_position_slices():
+    # "a" has 4196 starts; its widest gap (4095 -> 4101) spans the first
+    # 4096-start slice edge, as do the starts of "aa" it is split into
+    text = "a" * 4096 + "b" * 5 + "a" * 100
+    _assert_index_matches(FactorIndex(text), text, range(1, 4))
+    assert FactorIndex(text).stats(1)["a"] == [0, 4200, 6, 4095]
+
+
+def test_empirical_regulator_refines_once_and_tables_what_was_asked():
+    text = _seq_text(thue_morse(), 0, 2 ** 16 - 1)
+    B = empirical_regulator(thue_morse(), 2 ** 16)
+    resets = []
+    reset = B._index._reset
+    B._index._reset = lambda: (resets.append(1), reset())
+    for n in (82, 76):
+        worst = max(max(first, maxgap) for first, _, maxgap, _
+                    in factor_stats_per_position(text, n).values())
+        assert B.value(n) == max(n, n - 1 + worst)
+    assert resets == []
+    assert B.table == {82: B.value(82), 76: B.value(76)}
+
+
+def check_regulator_by_windows(text, reg, n_max):
+    """Reference regulator check, window by window: the first (n, factor) in
+    order of n and first occurrence such that the factor starts at or past
+    reg(n) and some reg(n)-window of the text lacks it; "inconclusive" when
+    reg(n) exceeds the text first; None when every factor passes."""
+    horizon = len(text)
+    for n in range(1, n_max + 1):
+        L = reg(n)
+        if L > horizon:
+            return "inconclusive"
+        for x in dict.fromkeys(text[i:i + n] for i in range(horizon - n + 1)):
+            if text.find(x, L) == -1:
+                continue
+            if any(text.find(x, s, s + L) == -1 for s in range(horizon - L + 1)):
+                return n, x
+    return None
+
+
+def sap_failures_by_windows(text, n_max, recur_fraction, gap_fraction):
+    """Reference check_sap: every failing (n, factor), in order of n and
+    first occurrence.  A factor fails when no start lies at or past
+    horizon*recur_fraction, or when it is absent from a window holding
+    W + 1 starts at the front of the text, or W starts with starts of the
+    factor on both sides (W the largest whole number <= horizon*gap_fraction,
+    so a longer run of starts without it is a gap above the cut)."""
+    horizon = len(text)
+    recur_from = math.ceil(horizon * recur_fraction)
+    W = math.floor(horizon * gap_fraction)
+    failing = []
+    for n in range(1, n_max + 1):
+        for x in dict.fromkeys(text[i:i + n] for i in range(horizon - n + 1)):
+            first, last = text.find(x), text.rfind(x)
+            if (text.find(x, recur_from) == -1
+                    or text.find(x, 0, W + n) == -1
+                    or any(text.find(x, s, s + W + n - 1) == -1
+                           for s in range(first + 1, last - W + 1))):
+                failing.append((n, x))
+    return failing
+
+
+def _windowed_word_spec(rng):
+    """A periodic word, or a seeded word glued in front of a periodic one."""
+    def draw(letters, lo, hi):
+        return "".join(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+    period = draw("012", 1, 7)
+    if rng.random() < 0.5:
+        return "periodic:" + period
+    return "prepend:" + draw(sorted(set(period)), 1, 12) + ":periodic:" + period
+
+
+def _absent_from_window(text, ce):
+    window = text[ce.window_start:ce.window_start + ce.window_len]
+    return ce.factor.text() not in window
+
+
+def test_check_regulator_matches_window_by_window_oracle():
+    rng = random.Random(5150)
+    statuses = set()
+    for _ in range(400):
+        seq = make_sequence(_windowed_word_spec(rng))
+        horizon = rng.randint(8, 160)
+        n_max = rng.randint(1, 6)
+        reg = rng.choice((
+            periodic_regulator(rng.randint(1, 12)),
+            ap.identity_plus(rng.randint(0, 40)),
+            ap.linear(rng.randint(1, 3), rng.randint(0, 8)),
+        ))
+        text = read(seq, 0, horizon - 1).text()
+        v = check_regulator(seq, reg, horizon, n_max)
+        want = check_regulator_by_windows(text, reg, n_max)
+        statuses.add(v.status)
+        if want is None:
+            assert v.status == "pass", (seq.description, horizon, n_max)
+        elif want == "inconclusive":
+            assert v.status == "inconclusive", (seq.description, horizon, n_max)
+        else:
+            assert v.status == "fail", (seq.description, horizon, n_max)
+            assert v.failures[0][0] == want[0] and v.counterexample.factor.text() == want[1]
+            assert v.counterexample.window_len == reg(want[0])
+            assert _absent_from_window(text, v.counterexample)
+    assert statuses == {"pass", "fail", "inconclusive"}
+
+
+def test_check_sap_matches_window_by_window_oracle():
+    rng = random.Random(6160)
+    statuses = set()
+    for _ in range(400):
+        seq = make_sequence(_windowed_word_spec(rng))
+        horizon = rng.randint(8, 160)
+        n_max = rng.randint(1, min(6, horizon))
+        fractions = {"recur_fraction": rng.choice((0.3, 0.5, 0.7)),
+                     "gap_fraction": rng.choice((0.1, 0.25, 0.4))}
+        text = read(seq, 0, horizon - 1).text()
+        v = check_sap(seq, horizon, n_max, max_failures=10 ** 6, **fractions)
+        want = sap_failures_by_windows(text, n_max, **fractions)
+        statuses.add(v.status)
+        assert v.status == ("fail" if want else "pass"), (seq.description, horizon)
+        assert [(n, ce.factor.text()) for n, ce in v.failures] == want
+        assert v.failure_count == len(want)
+        for _, ce in v.failures:
+            assert _absent_from_window(text, ce), (seq.description, horizon, ce)
+    assert statuses == {"pass", "fail"}
 
 
 def test_check_regulator_quintuple():
@@ -336,6 +527,12 @@ def test_pr_estimate_judges_gaps_past_the_cut_only():
     # "0" starts at 0, is absent for 1100 letters, then recurs every 3: its
     # widest start-gap lies before cut 128, which passes
     seq = prepend(word("0" + "1" * 1099), periodic(word("011")))
+    assert pr_upper_estimate(seq, 4096, 2) == pr_by_cuts(seq, 4096, 2) == 128
+    # "0" also starts at 127, just before cut 128, and next at 1120: the
+    # 993-letter gap opening there is one above cut 128's gap cut of 992, but
+    # past the cut the first start is 992 letters in and the gaps are short
+    seq = prepend(word("1" * 100 + "00" + "1" * 25 + "0" + "1" * 992),
+                  periodic(word("011")))
     assert pr_upper_estimate(seq, 4096, 2) == pr_by_cuts(seq, 4096, 2) == 128
 
 

@@ -225,7 +225,8 @@ def test_nonpositive_numbers_exit_2(capsys, flag, value):
 
 
 def test_negative_identity_offset_exit_2(capsys):
-    code, out = run_cli(capsys, ["check-regulator", "--spec", "tm",
-                                 "--reg", "id+c:-5"])
-    assert code == 2
-    assert out == ""
+    for reg in ("id+c:-5", "lin:1:-5"):
+        code, out = run_cli(capsys, ["check-regulator", "--spec", "tm",
+                                     "--reg", reg])
+        assert code == 2, reg
+        assert out == ""

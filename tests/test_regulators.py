@@ -114,6 +114,16 @@ def test_periodic_regulator_rejects_period_below_one():
             periodic_regulator(period)
 
 
+def test_linear_rejects_offset_below_one_at_construction():
+    # r(1) = a + b is the smallest margin r(n) - n + 1 of a*n + b with a >= 1
+    for a, b in ((1, -5), (1, -1), (3, -3)):
+        with pytest.raises(ValueError):
+            linear(a, b)
+    assert linear(1, 0)(1) == 1 and linear(3, -2)(1) == 1
+    with pytest.raises(ValueError):
+        parse_regulator("lin:1:-5")
+
+
 def test_call_rejects_value_below_length():
     r = Regulator(lambda n: 2 if n < 3 else n - 1, "derived", "short")
     assert r(2) == 2
