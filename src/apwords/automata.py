@@ -145,16 +145,21 @@ def _upstream(seq, start=0):
         i += len(letters)
 
 
+def _check_input(machine, seq, noun):
+    """Raise AlphabetError for sequence symbols the machine does not read."""
+    if seq.alphabet.symbols != machine.input_alphabet.symbols:
+        missing = [s for s in seq.alphabet if s not in machine.input_alphabet]
+        if missing:
+            raise AlphabetError(f"sequence symbols {missing!r} unknown to {noun}")
+
+
 def run(auto, seq, with_states=False):
     """The automaton image of a sequence.
 
     With ``with_states`` the output at step n is the (input, current state)
     pair; the declared output letter is then a projection of that pair.
     """
-    if seq.alphabet.symbols != auto.input_alphabet.symbols:
-        missing = [s for s in seq.alphabet if s not in auto.input_alphabet]
-        if missing:
-            raise AlphabetError(f"sequence symbols {missing!r} unknown to automaton")
+    _check_input(auto, seq, "automaton")
     out_alphabet = (
         pair_alphabet(auto.input_alphabet, auto.states)
         if with_states
@@ -414,10 +419,7 @@ def reduce_to_reversible(auto, seq, reg, scan_cap=DEFAULT_SCAN_CAP):
     the current sequence; among the remaining non-injective letters the one
     with the smallest state image is chosen (ties by alphabet order).
     """
-    if seq.alphabet.symbols != auto.input_alphabet.symbols:
-        missing = [s for s in seq.alphabet if s not in auto.input_alphabet]
-        if missing:
-            raise AlphabetError(f"sequence symbols {missing!r} unknown to automaton")
+    _check_input(auto, seq, "automaton")
     bound = reg_iterated_bound(reg, len(auto.states))
 
     cur_auto = auto
@@ -530,11 +532,7 @@ def hom_apply(h, seq, reg=None, stall_limit=DEFAULT_STALL_LIMIT):
 def transducer_run(trans, seq, stall_limit=DEFAULT_STALL_LIMIT):
     """The concatenated transducer output; possibly finite, in which case
     reads past the produced length raise lazily."""
-    if seq.alphabet.symbols != trans.input_alphabet.symbols:
-        missing = [s for s in seq.alphabet if s not in trans.input_alphabet]
-        if missing:
-            raise AlphabetError(f"sequence symbols {missing!r} unknown to transducer")
-
+    _check_input(trans, seq, "transducer")
     return StreamSequence._of_chunks(
         trans.output_alphabet,
         _transduce(seq, _rows(trans.delta), trans.initial, stall_limit),

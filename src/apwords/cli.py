@@ -51,18 +51,18 @@ def _build_parser():
         sp.add_argument("--out", help="write the report to this file")
 
     sp = sub.add_parser("gen", help="print a prefix of a sequence")
-    sp.add_argument("--count", type=int, default=64)
+    sp.add_argument("--count", type=_positive_int, default=64)
     common(sp)
 
     sp = sub.add_parser("run", help="run an automaton over a sequence")
     sp.add_argument("--auto", required=True)
-    sp.add_argument("--count", type=int, default=64)
+    sp.add_argument("--count", type=_positive_int, default=64)
     sp.add_argument("--with-states", action="store_true")
     common(sp)
 
     sp = sub.add_parser("split", help="marker-split a sequence into blocks")
     sp.add_argument("--marker", required=True)
-    sp.add_argument("--count", type=int, default=16, help="blocks to print")
+    sp.add_argument("--count", type=_positive_int, default=16, help="blocks to print")
     common(sp, reg=True)
 
     sp = sub.add_parser("reduce", help="reduce an automaton to a reversible one")
@@ -82,7 +82,7 @@ def _build_parser():
     common(sp, horizon=True)
 
     sp = sub.add_parser("cube-check", help="check a prefix for cubes")
-    sp.add_argument("--count", type=int, default=DEFAULT_HORIZON)
+    sp.add_argument("--count", type=_positive_int, default=DEFAULT_HORIZON)
     common(sp)
 
     sp = sub.add_parser("scheme-validate", help="check scheme recurrence conditions")

@@ -9,6 +9,7 @@ alphabets).  An Alphabet fixes a total, stable order on its symbols; every
 from __future__ import annotations
 
 import bisect
+import copy
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -418,213 +419,7 @@ def prepend(w, seq):
 
 
 # ---------------------------------------------------------------------------
-# Thue-Morse
-
-_FLIP = str.maketrans("01", "10")
-
-
-def _stretches(lo, hi, size, blocks, flipped, pieces):
-    """Append letters lo..hi-1 of a word made of aligned stretches of size
-    letters to pieces: stretch t is blocks[flipped(t)] (a string)."""
-    while lo < hi:
-        t, r = divmod(lo, size)
-        end = min(hi, lo - r + size)
-        pieces.append(blocks[flipped(t)][r:r + end - lo])
-        lo = end
-
-
-def _tm_text(n):
-    s = "0"
-    for _ in range(n):
-        s += s.translate(_FLIP)
-    return s
-
-
-def _tm_parity(i):
-    return bin(i).count("1") & 1
-
-
-# Letter t * 2^12 + r of Thue-Morse is tm(r), flipped when tm(t) is 1, so a
-# range read is cut from the level-12 block and its complement.
-_TM_BASE_LEVEL = 12
-_TM_BASE = (_tm_text(_TM_BASE_LEVEL), _tm_text(_TM_BASE_LEVEL).translate(_FLIP))
-
-
-class _ThueMorse(SequenceHandle):
-    """Letter i is the parity of the binary digit sum of i."""
-
-    def __init__(self):
-        super().__init__(BINARY, "tm")
-
-    def at(self, i):
-        return "01"[_tm_parity(i)]
-
-    def _read_symbols(self, i, j):
-        pieces = []
-        _stretches(i, j + 1, 2 ** _TM_BASE_LEVEL, _TM_BASE, _tm_parity, pieces)
-        return tuple("".join(pieces))
-
-
-def thue_morse():
-    """The Thue-Morse sequence 0110100110010110... over {0,1}."""
-    return _ThueMorse()
-
-
-def tm_block(n, max_len=MAX_BLOCK_SYMBOLS):
-    """Doubling block: block(0) = 0, block(n+1) = block(n) + its complement."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    if 2 ** n > max_len:
-        raise ResourceLimitError(f"block of length 2^{n} exceeds limit {max_len}")
-    return word(_tm_text(n), BINARY)
-
-
-# ---------------------------------------------------------------------------
-# The quintuple blocks a_n and the sequences built from them
-
-
-def _quintuple_text(n):
-    """a_0 = 1, a_{n+1} = a ~a ~a a a, as a string."""
-    s = "1"
-    for _ in range(n):
-        t = s.translate(_FLIP)
-        s = s + t + t + s + s
-    return s
-
-
-def thm21_block(n, max_len=MAX_BLOCK_SYMBOLS):
-    """Quintuple block: a_0 = 1, a_{n+1} = a ~a ~a a a; length 5^n."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    if 5 ** n > max_len:
-        raise ResourceLimitError(f"block of length 5^{n} exceeds limit {max_len}")
-    return word(_quintuple_text(n), BINARY)
-
-
-def _quintuple_letter(n, j):
-    """Letter j of the level-n quintuple block, computed by digit descent."""
-    flips = 0
-    for _ in range(n):
-        if j % 5 in (1, 2):
-            flips ^= 1
-        j //= 5
-    return "0" if flips else "1"
-
-
-# Range reads of quintuple blocks are cut from (a_b, ~a_b) for b up to this
-# level: a_n is a_b or ~a_b in each aligned stretch of 5^b letters.
-_QUINTUPLE_BASE_LEVEL = 5
-_QUINTUPLE_BASE = tuple(
-    (a, a.translate(_FLIP))
-    for a in map(_quintuple_text, range(_QUINTUPLE_BASE_LEVEL + 1))
-)
-
-
-def _quintuple_pieces(n, lo, hi, pieces):
-    """Append letters lo..hi-1 of a_n a_n a_n ... to pieces, as strings."""
-    b = min(n, _QUINTUPLE_BASE_LEVEL)
-    count = 5 ** (n - b)  # base stretches per a_n
-    _stretches(
-        lo, hi, 5 ** b, _QUINTUPLE_BASE[b],
-        lambda t: _quintuple_letter_unbounded(t % count) == "0", pieces,
-    )
-
-
-@dataclass(frozen=True)
-class TauSpec:
-    """Eventually-periodic repetition counts in {4,5} (the pattern repeats)."""
-
-    pattern: tuple
-
-    def __post_init__(self):
-        if not self.pattern:
-            raise ValueError("tau pattern must be non-empty")
-        if any(v not in (4, 5) for v in self.pattern):
-            raise ValueError("tau values must be in {4, 5}")
-
-    def count(self, n):
-        return self.pattern[n % len(self.pattern)]
-
-
-class _QuintupleConcat(SequenceHandle):
-    """c_0 c_1 c_2 ... where c_n is the level-n quintuple block repeated
-    tau(n) times (tau constant 4 gives the plain variant).
-
-    Level n starts at sum_{m<n} tau(m) 5^m.  These starts are computed once,
-    up to the regulator ceiling, so reads share no growing state; a range
-    read walks them level by level.
-    """
-
-    def __init__(self, tau, description):
-        super().__init__(BINARY, description)
-        bounds = [0]
-        while bounds[-1] <= DEFAULT_CEILING:
-            n = len(bounds) - 1
-            bounds.append(bounds[-1] + tau.count(n) * 5 ** n)
-        self._bounds = tuple(bounds)
-
-    def _level_for(self, i):
-        n = bisect.bisect_right(self._bounds, i) - 1
-        if n == len(self._bounds) - 1:
-            raise ResourceLimitError(f"index {i} exceeds ceiling {DEFAULT_CEILING}")
-        return n
-
-    def at(self, i):
-        n = self._level_for(i)
-        p = i - self._bounds[n]
-        return _quintuple_letter(n, p % 5 ** n)
-
-    def _read_symbols(self, i, j):
-        bounds = self._bounds
-        n = self._level_for(i)
-        self._level_for(j)  # past the ceiling, raise before any work
-        pieces = []
-        while i <= j:
-            stop = min(j + 1, bounds[n + 1])
-            _quintuple_pieces(n, i - bounds[n], stop - bounds[n], pieces)
-            i = stop
-            n += 1
-        return tuple("".join(pieces))
-
-
-def thm21():
-    """The pasted sequence c_0 c_1 c_2 ... with c_n = a_n a_n a_n a_n."""
-    return _QuintupleConcat(TauSpec((4,)), "thm21")
-
-
-def thm21_tau(tau):
-    """Variant with c_n repeated tau(n) times, tau eventually periodic."""
-    if not isinstance(tau, TauSpec):
-        tau = TauSpec(tuple(tau))
-    return _QuintupleConcat(tau, "thm21tau:" + "".join(str(v) for v in tau.pattern))
-
-
-def quintuple_limit():
-    """The fixed point lim a_n of the quintuple blocks (a uniformly
-    recurrent sequence; also reachable as a scheme fixed point)."""
-    return FuncSequence(BINARY, lambda i: _quintuple_letter_unbounded(i))
-
-
-def _quintuple_letter_unbounded(i):
-    flips = 0
-    while i:
-        if i % 5 in (1, 2):
-            flips ^= 1
-        i //= 5
-    return "0" if flips else "1"
-
-
-def tm_triple_fixture(n):
-    """block block block + Thue-Morse, the moving-prefix counterexample family."""
-    b = tm_block(n)
-    w = Word(BINARY, b.symbols * 3)
-    seq = prepend(w, thue_morse())
-    seq.description = f"fixture:tm-triple:{n}"
-    return seq
-
-
-# ---------------------------------------------------------------------------
-# Uniform substitution schemes
+# Uniform substitutions
 
 
 @dataclass(frozen=True)
@@ -677,6 +472,214 @@ class SchemeSpec:
         return Alphabet(seen)
 
 
+# Range reads of a fixed point are cut from aligned stretches of k^b letters,
+# b the largest level with k^b at most this many.
+_STRETCH = 4096
+
+
+class _FixedPoint(SequenceHandle):
+    """The decoded fixed point x of a uniform substitution sigma of length k,
+    iterated from its start label.
+
+    Label t of the undecoded fixed point comes from descending the base-k
+    digits of t from the start label, and letter i of x decodes label i.
+    Range reads are cut from stretches: letters t k^b ... (t + 1) k^b - 1 of
+    x are the decoded level-b image sigma^b of label t.  The decoded images
+    of every level up to b are built once, here, each from the images one
+    level down, so reads share no growing state.
+    """
+
+    def __init__(self, spec, description):
+        super().__init__(spec.base_alphabet(), description)
+        self._k = k = spec.block_length
+        self._start = spec.start
+        self._rules = {lab: tuple(spec.rules[lab]) for lab in spec.labels}
+        self._decode = {lab: spec.decode[lab] for lab in spec.labels}
+        # Images are strings with one character per letter: the letter itself
+        # when every letter is a one-character string, else a stand-in that
+        # reads map back.
+        symbols = self.alphabet.symbols
+        single = all(isinstance(s, str) and len(s) == 1 for s in symbols)
+        chars = symbols if single else tuple(map(chr, range(len(symbols))))
+        self._stand_ins = None if single else dict(zip(chars, symbols))
+        level = {lab: chars[self.alphabet.index(v)] for lab, v in self._decode.items()}
+        self._images = [level]
+        while len(level[self._start]) * k <= _STRETCH:
+            level = {
+                lab: "".join(map(level.__getitem__, image))
+                for lab, image in self._rules.items()
+            }
+            self._images.append(level)
+
+    def _label(self, t):
+        """Label t of the undecoded fixed point."""
+        digits = []
+        while t:
+            t, d = divmod(t, self._k)
+            digits.append(d)
+        lab = self._start
+        for d in reversed(digits):
+            lab = self._rules[lab][d]
+        return lab
+
+    def _pieces(self, lo, hi, pieces, n=None):
+        """Append letters lo..hi-1 of x to pieces as image strings; given n,
+        of the first k^n letters of x repeated instead."""
+        b = len(self._images) - 1 if n is None else min(n, len(self._images) - 1)
+        images = self._images[b]
+        size = self._k ** b
+        period = None if n is None else self._k ** (n - b)  # stretches per repeat
+        while lo < hi:
+            t, r = divmod(lo, size)
+            end = min(hi, lo - r + size)
+            lab = self._label(t if period is None else t % period)
+            pieces.append(images[lab][r:r + end - lo])
+            lo = end
+
+    def _symbols(self, pieces):
+        """The letters that a list of image strings spells."""
+        text = "".join(pieces)
+        if self._stand_ins is None:
+            return tuple(text)
+        return tuple(map(self._stand_ins.__getitem__, text))
+
+    def at(self, i):
+        if i < 0:
+            raise ValueError(f"bad index {i}")
+        return self._decode[self._label(i)]
+
+    def _read_symbols(self, i, j):
+        pieces = []
+        self._pieces(i, j + 1, pieces)
+        return self._symbols(pieces)
+
+
+def _prefix_block(seq, n, max_len):
+    """The first k^n letters of a fixed point, refused past max_len."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    if seq._k ** n > max_len:
+        raise ResourceLimitError(
+            f"block of length {seq._k}^{n} exceeds limit {max_len}")
+    return seq.read(0, seq._k ** n - 1)
+
+
+# ---------------------------------------------------------------------------
+# Thue-Morse and the quintuple blocks a_n: fixed points over their own letters
+
+_IDENTITY = {"0": "0", "1": "1"}
+_TM_SCHEME = SchemeSpec(BINARY, {"0": "01", "1": "10"}, _IDENTITY, "0")
+# a_0 = 1 and a_{n+1} = a_n ~a_n ~a_n a_n a_n, so a_n = sigma^n(1)
+_QUINTUPLE_SCHEME = SchemeSpec(BINARY, {"0": "01100", "1": "10011"}, _IDENTITY, "1")
+# Built once: the constructors below hand out copies, which share the level
+# images and differ only in their description.
+_TM = _FixedPoint(_TM_SCHEME, "tm")
+_QUINTUPLE = _FixedPoint(_QUINTUPLE_SCHEME, "")
+
+
+def thue_morse():
+    """The Thue-Morse sequence 0110100110010110... over {0,1}."""
+    return copy.copy(_TM)
+
+
+def tm_block(n, max_len=MAX_BLOCK_SYMBOLS):
+    """Doubling block: block(0) = 0, block(n+1) = block(n) + its complement."""
+    return _prefix_block(_TM, n, max_len)
+
+
+def thm21_block(n, max_len=MAX_BLOCK_SYMBOLS):
+    """Quintuple block: a_0 = 1, a_{n+1} = a ~a ~a a a; length 5^n."""
+    return _prefix_block(_QUINTUPLE, n, max_len)
+
+
+def quintuple_limit():
+    """The fixed point lim a_n of the quintuple blocks (a uniformly
+    recurrent sequence; also reachable as a scheme fixed point)."""
+    return copy.copy(_QUINTUPLE)
+
+
+@dataclass(frozen=True)
+class TauSpec:
+    """Eventually-periodic repetition counts in {4,5} (the pattern repeats)."""
+
+    pattern: tuple
+
+    def __post_init__(self):
+        if not self.pattern:
+            raise ValueError("tau pattern must be non-empty")
+        if any(v not in (4, 5) for v in self.pattern):
+            raise ValueError("tau values must be in {4, 5}")
+
+    def count(self, n):
+        return self.pattern[n % len(self.pattern)]
+
+
+class _QuintupleConcat(SequenceHandle):
+    """c_0 c_1 c_2 ... where c_n is the level-n quintuple block repeated
+    tau(n) times (tau constant 4 gives the plain variant).
+
+    Level n starts at sum_{m<n} tau(m) 5^m.  These starts are computed once,
+    up to the regulator ceiling, so reads share no growing state; a range
+    read walks them level by level, cutting each from the quintuple limit.
+    """
+
+    def __init__(self, tau, description):
+        super().__init__(BINARY, description)
+        bounds = [0]
+        while bounds[-1] <= DEFAULT_CEILING:
+            n = len(bounds) - 1
+            bounds.append(bounds[-1] + tau.count(n) * 5 ** n)
+        self._bounds = tuple(bounds)
+        self._limit = _QUINTUPLE
+
+    def _level_for(self, i):
+        n = bisect.bisect_right(self._bounds, i) - 1
+        if n == len(self._bounds) - 1:
+            raise ResourceLimitError(f"index {i} exceeds ceiling {DEFAULT_CEILING}")
+        return n
+
+    def at(self, i):
+        n = self._level_for(i)
+        return self._limit.at((i - self._bounds[n]) % 5 ** n)
+
+    def _read_symbols(self, i, j):
+        bounds = self._bounds
+        n = self._level_for(i)
+        self._level_for(j)  # past the ceiling, raise before any work
+        pieces = []
+        while i <= j:
+            stop = min(j + 1, bounds[n + 1])
+            self._limit._pieces(i - bounds[n], stop - bounds[n], pieces, n)
+            i = stop
+            n += 1
+        return self._limit._symbols(pieces)
+
+
+def thm21():
+    """The pasted sequence c_0 c_1 c_2 ... with c_n = a_n a_n a_n a_n."""
+    return _QuintupleConcat(TauSpec((4,)), "thm21")
+
+
+def thm21_tau(tau):
+    """Variant with c_n repeated tau(n) times, tau eventually periodic."""
+    if not isinstance(tau, TauSpec):
+        tau = TauSpec(tuple(tau))
+    return _QuintupleConcat(tau, "thm21tau:" + "".join(str(v) for v in tau.pattern))
+
+
+def tm_triple_fixture(n):
+    """block block block + Thue-Morse, the moving-prefix counterexample family."""
+    b = tm_block(n)
+    w = Word(BINARY, b.symbols * 3)
+    seq = prepend(w, thue_morse())
+    seq.description = f"fixture:tm-triple:{n}"
+    return seq
+
+
+# ---------------------------------------------------------------------------
+# Scheme recurrence conditions and scheme files
+
+
 @dataclass(frozen=True)
 class SchemeVerdict:
     basic_ok: bool
@@ -723,40 +726,30 @@ def scheme_validate(spec, strengthened=False):
 def scheme_generate(spec):
     """The decoded fixed point of iterating the rules from the start label.
 
-    Index i is resolved by descending the base-k digit tree, so a single
-    read costs O(log i).
+    Letter i decodes the label reached by descending the base-k digits of
+    i.  A range read is cut from the decoded level-b images of the labels
+    (k^b at most 4096), built once per handle, so it costs one digit descent
+    per stretch of k^b letters rather than one per letter.
     """
     verdict = scheme_validate(spec)
     if not verdict.basic_ok:
         raise SchemeError("scheme rejected: " + "; ".join(verdict.failures))
-    k = spec.block_length
-    rules = {lab: tuple(img) for lab, img in spec.rules.items()}
-    decode = spec.decode
-    start = spec.start
-
-    def at(i):
-        digits = []
-        while i:
-            digits.append(i % k)
-            i //= k
-        lab = start
-        for d in reversed(digits):
-            lab = rules[lab][d]
-        return decode[lab]
-
-    return FuncSequence(spec.base_alphabet(), at, description="scheme")
+    return _FixedPoint(spec, "scheme")
 
 
 def parse_scheme_file(path):
-    """Parse th line-based scheme format.
+    """Parse the line-based scheme format.
 
     Stanzas: ``labels A B``, ``start A``, ``rule A A B``, ``decode A 0``.
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored.  Each stanza may appear
+    once (once per label for ``rule`` and ``decode``), and ``rule`` and
+    ``decode`` may name only declared labels.
     """
     labels = None
     start = None
     rules = {}
     decode = {}
+    seen = {}  # stanza -> line number
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -764,6 +757,10 @@ def parse_scheme_file(path):
                 continue
             parts = line.split()
             kind = parts[0]
+            stanza = " ".join(parts[:2] if kind in ("rule", "decode") else parts[:1])
+            if stanza in seen:
+                raise SchemeError(f"{path}:{lineno}: repeated {stanza!r} stanza")
+            seen[stanza] = lineno
             if kind == "labels":
                 labels = Alphabet(parts[1:])
             elif kind == "start":
@@ -782,6 +779,10 @@ def parse_scheme_file(path):
                 raise SchemeError(f"{path}:{lineno}: unknown stanza {kind!r}")
     if labels is None:
         raise SchemeError(f"{path}: missing labels stanza")
+    for stanza, lineno in seen.items():
+        kind, _, lab = stanza.partition(" ")
+        if lab and lab not in labels:
+            raise SchemeError(f"{path}:{lineno}: {kind} for undeclared label {lab!r}")
     return SchemeSpec(labels=labels, rules=rules, decode=decode, start=start)
 
 

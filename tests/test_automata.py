@@ -279,6 +279,22 @@ def test_transducer_identity():
     assert read(out, 0, 9999).symbols == read(thue_morse(), 0, 9999).symbols
 
 
+
+def test_foreign_input_symbols_are_named():
+    seq = periodic(word("0a", Alphabet(("0", "a"))))
+    identity = {("q", s): ("q", (s,)) for s in "01"}
+    calls = [
+        (lambda: run(identity_automaton(), seq), "automaton"),
+        (lambda: reduce_to_reversible(identity_automaton(), seq,
+                                      ap.identity_plus(3)), "automaton"),
+        (lambda: transducer_run(Transducer(BIN, BIN, ("q",), "q", identity), seq),
+         "transducer"),
+    ]
+    for call, noun in calls:
+        with pytest.raises(ap.AlphabetError) as exc:
+            call()
+        assert str(exc.value) == f"sequence symbols ['a'] unknown to {noun}"
+
 def test_one_state_transducer_equals_homomorphism():
     images = {"0": ("1", "0"), "1": ()}
     delta = {("q", s): ("q", images[s]) for s in "01"}

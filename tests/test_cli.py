@@ -230,3 +230,31 @@ def test_negative_identity_offset_exit_2(capsys):
                                      "--reg", reg])
         assert code == 2, reg
         assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--spec", "tm"],
+    ["run", "--auto", "unread.aut", "--spec", "tm"],
+    ["split", "--spec", "tm", "--marker", "0", "--reg", "id+c:3"],
+    ["cube-check", "--spec", "tm"],
+])
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_nonpositive_count_is_a_usage_error(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--count", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a positive integer" in captured.err
+
+
+def test_bad_scheme_file_exit_2(capsys, tmp_path):
+    sch = tmp_path / "twice.scheme"
+    sch.write_text("labels A B\nstart A\nrule A A B\nrule B B A\n"
+                   "rule A A A\ndecode A 0\ndecode B 1\n")
+    for argv in (["scheme-validate", "--scheme", str(sch)],
+                 ["gen", "--spec", f"scheme:{sch}", "--count", "4"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{sch}:5: repeated 'rule A' stanza" in captured.err

@@ -1,6 +1,7 @@
 """Range reads agree with per-letter reads for every sequence construction."""
 
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -9,6 +10,9 @@ from apwords import FuncSequence, make_sequence, projections, read
 
 QUINT_SCHEME = "labels A B\nstart A\nrule A A B B A A\nrule B B A A B B\n" \
                "decode A 1\ndecode B 0\n"
+# k = 3, so range reads are cut from stretches of 3^7 = 2187 letters
+TRI_SCHEME = "labels A B C\nstart A\nrule A A B C\nrule B C A B\nrule C B C A\n" \
+             "decode A x\ndecode B yz\ndecode C x\n"
 
 SPECS = [
     "tm",
@@ -104,3 +108,96 @@ def test_quintuple_level_starts_are_precomputed():
         seq.at(bounds[-1])
     with pytest.raises(ap.ResourceLimitError):
         read(seq, bounds[-1] - 2, bounds[-1])
+
+
+# ---------------------------------------------------------------------------
+# Per-letter reference definitions of the substitution fixed points
+
+
+def _tm_reference(i):
+    """Thue-Morse: the parity of the binary digit sum."""
+    return "01"[bin(i).count("1") & 1]
+
+
+def _quintuple_reference(i):
+    """lim a_n: letter 1, flipped once per base-5 digit 1 or 2."""
+    flips = 0
+    while i:
+        i, d = divmod(i, 5)
+        flips ^= d in (1, 2)
+    return "0" if flips else "1"
+
+
+def _pasted_reference(tau):
+    """c_0 c_1 ...: letter p of level n is letter p mod 5^n of the limit."""
+    starts = [0] + _level_starts(tau)
+
+    def letter(i):
+        n = bisect_right(starts, i) - 1
+        return _quintuple_reference((i - starts[n]) % 5 ** n)
+
+    return letter
+
+
+def _scheme_reference(spec):
+    """Letter i decodes the label reached by the base-k digits of i."""
+    k = spec.block_length
+
+    def letter(i):
+        digits = []
+        while i:
+            i, d = divmod(i, k)
+            digits.append(d)
+        lab = spec.start
+        for d in reversed(digits):
+            lab = spec.rules[lab][d]
+        return spec.decode[lab]
+
+    return letter
+
+
+def _scheme_case(text):
+    def make(tmp_path):
+        path = tmp_path / "case.scheme"
+        path.write_text(text)
+        seq = make_sequence(f"scheme:{path}")
+        return seq, _scheme_reference(ap.parse_scheme_file(str(path)))
+
+    return make
+
+
+def _pasted_edges(tau):
+    """Level starts, and the 3125-letter stretch edges inside levels 5, 6."""
+    starts = [0] + _level_starts(tau)
+    return starts[1:] + [starts[n] + t * 3125 for n in (5, 6) for t in (1, 2, 7)]
+
+
+REFERENCE_CASES = {
+    "tm": (lambda _: (make_sequence("tm"), _tm_reference),
+           [t * 4096 for t in (1, 2, 3, 17, 40)]),
+    "quintuple_limit": (lambda _: (ap.quintuple_limit(), _quintuple_reference),
+                        [t * 3125 for t in (1, 2, 5, 24, 26)]),
+    "thm21": (lambda _: (make_sequence("thm21"), _pasted_reference((4,))),
+              _pasted_edges((4,))),
+    "thm21tau:45": (lambda _: (make_sequence("thm21tau:45"),
+                               _pasted_reference((4, 5))),
+                    _pasted_edges((4, 5))),
+    "scheme-quint": (_scheme_case(QUINT_SCHEME), [t * 3125 for t in (1, 2, 6, 25)]),
+    "scheme-tri": (_scheme_case(TRI_SCHEME), [t * 2187 for t in (1, 2, 3, 9, 10)]),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_range_reads_match_the_reference_definition(tmp_path, name):
+    make, edges = REFERENCE_CASES[name]
+    seq, reference = make(tmp_path)
+    rng = random.Random(name)
+    for edge in edges:
+        i = max(0, edge - rng.randint(1, 300))
+        j = edge + rng.randint(0, 2500)
+        expect = tuple(map(reference, range(i, j + 1)))
+        assert tuple(seq.at(k) for k in range(i, j + 1)) == expect, (name, i, j)
+        assert read(seq, i, j).symbols == expect, (name, i, j)
+    # one read across several stretches at once
+    i, j = max(0, edges[0] - 7), edges[-1] + 7
+    assert read(seq, i, j).symbols == tuple(map(reference, range(i, j + 1))), name

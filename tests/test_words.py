@@ -161,6 +161,12 @@ def test_stream_sequence_finite_output():
         s.at(4)
 
 
+def test_fixed_points_reject_negative_indices():
+    for seq in (thue_morse(), ap.quintuple_limit()):
+        with pytest.raises(ValueError):
+            seq.at(-1)
+
+
 def test_tm_triple_fixture_prefix():
     # tm a_1 = "01"; fixture is a_1 a_1 a_1 followed by thue_morse.
     assert read(tm_triple_fixture(1), 0, 9).text() == "0101010110"
@@ -278,6 +284,33 @@ def test_scheme_file_roundtrip(tmp_path):
     spec = ap.parse_scheme_file(str(p))
     g = scheme_generate(spec)
     assert read(g, 0, 63).symbols == read(thue_morse(), 0, 63).symbols
+
+
+TM_SCHEME_TEXT = "labels A B\nstart A\nrule A A B\nrule B B A\ndecode A 0\ndecode B 1\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("labels A B", "repeated 'labels' stanza"),
+    ("start B", "repeated 'start' stanza"),
+    ("rule A A A", "repeated 'rule A' stanza"),
+    ("decode B 0", "repeated 'decode B' stanza"),
+    ("rule C C A", "rule for undeclared label 'C'"),
+    ("decode C 1", "decode for undeclared label 'C'"),
+])
+def test_scheme_file_rejects_repeats_and_undeclared_labels(tmp_path, extra, message):
+    p = tmp_path / "bad.scheme"
+    p.write_text(TM_SCHEME_TEXT + extra + "\n")  # the seventh line
+    with pytest.raises(ap.SchemeError) as exc:
+        ap.parse_scheme_file(str(p))
+    assert str(exc.value) == f"{p}:7: {message}"
+
+
+def test_scheme_file_labels_may_follow_rules(tmp_path):
+    p = tmp_path / "late.scheme"
+    lines = TM_SCHEME_TEXT.splitlines()
+    p.write_text("\n".join(lines[1:] + lines[:1]) + "\n")
+    spec = ap.parse_scheme_file(str(p))
+    assert read(scheme_generate(spec), 0, 15).text() == "0110100110010110"
 
 
 # ---------------------------------------------------------------------------
