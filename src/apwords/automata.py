@@ -14,7 +14,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .regulators import reg_iterated_bound, reg_split
-from .words import Alphabet, StreamSequence, Word
+from .words import Alphabet, StreamSequence, Word, word
 
 # Inputs consumed without any output before a lazily-finite image is declared
 # exhausted.
@@ -27,39 +27,70 @@ DEFAULT_SCAN_CAP = 2 ** 24
 _CHUNK = 4096
 
 
-class Automaton:
-    """Letter-to-letter machine: transition (state, input) -> (state, output)."""
+class Transducer:
+    """Machine emitting a (possibly empty) word per input letter:
+    ``delta[(state, input)] == (next state, output word)``.
+
+    The constructor is the one validator of machines (distinct states, one
+    transition for every (state, input) pair and no other) and links the
+    machine into rows, ``row[letter] == (next row, output word)``, so that
+    a drive costs one dict lookup per letter from the initial row.
+    """
 
     def __init__(self, input_alphabet, output_alphabet, states, initial, delta):
         states = tuple(states)
         if initial not in states:
             raise ValueError(f"initial state {initial!r} not among states")
+        rows = {q: {} for q in states}
+        if len(rows) != len(states):
+            raise ValueError("states must be distinct")
+        kept = {}
         for q in states:
             for s in input_alphabet:
                 if (q, s) not in delta:
                     raise ValueError(f"transition missing for ({q!r}, {s!r})")
                 nxt, out = delta[(q, s)]
-                if nxt not in states:
+                if nxt not in rows:
                     raise ValueError(f"transition target {nxt!r} not a state")
-                if out not in output_alphabet:
-                    raise AlphabetError(f"output {out!r} not in output alphabet")
+                out, emitted = self._output(out)
+                for o in emitted:
+                    if o not in output_alphabet:
+                        raise AlphabetError(f"output {o!r} not in output alphabet")
+                kept[(q, s)] = (nxt, out)
+                rows[q][s] = (rows[nxt], emitted)
+        if len(kept) != len(delta):
+            q, s = next(k for k in delta if k not in kept)
+            raise ValueError(f"transition from ({q!r}, {s!r}) outside the "
+                             "states and input alphabet")
         self.input_alphabet = input_alphabet
         self.output_alphabet = output_alphabet
         self.states = states
         self.initial = initial
-        self.delta = dict(delta)
+        self.delta = {k: kept[k] for k in delta}
+        self._row = rows[initial]
 
-    def step(self, q, s):
-        return self.delta[(q, s)]
+    @staticmethod
+    def _output(out):
+        """A transition's output as delta keeps it, and the word it emits."""
+        out = tuple(out)
+        return out, out
+
+
+class Automaton(Transducer):
+    """Letter-to-letter machine: ``delta[(state, input)] == (next state,
+    output letter)``, driven as a transducer whose outputs are the
+    one-letter words."""
+
+    @staticmethod
+    def _output(out):
+        return out, (out,)
 
     def restricted(self, letters):
         """Copy with the input alphabet cut down to the given letters."""
         keep = tuple(s for s in self.input_alphabet if s in letters)
         if not keep:
             raise ValueError("restriction would empty the input alphabet")
-        delta = {
-            (q, s): v for (q, s), v in self.delta.items() if s in keep
-        }
+        delta = {(q, s): v for (q, s), v in self.delta.items() if s in keep}
         return Automaton(
             Alphabet(keep), self.output_alphabet, self.states, self.initial, delta
         )
@@ -71,43 +102,16 @@ class Automaton:
         )
 
 
-class Transducer:
-    """Automaton variant emitting a (possibly empty) word per input letter."""
-
-    def __init__(self, input_alphabet, output_alphabet, states, initial, delta):
-        states = tuple(states)
-        if initial not in states:
-            raise ValueError(f"initial state {initial!r} not among states")
-        for q in states:
-            for s in input_alphabet:
-                if (q, s) not in delta:
-                    raise ValueError(f"transition missing for ({q!r}, {s!r})")
-                nxt, out = delta[(q, s)]
-                if nxt not in states:
-                    raise ValueError(f"transition target {nxt!r} not a state")
-                for o in out:
-                    if o not in output_alphabet:
-                        raise AlphabetError(f"output {o!r} not in output alphabet")
-        self.input_alphabet = input_alphabet
-        self.output_alphabet = output_alphabet
-        self.states = states
-        self.initial = initial
-        self.delta = {k: (v[0], tuple(v[1])) for k, v in delta.items()}
-
-
-class Homomorphism:
-    """Alphabet morphism extended letter-wise; images may be empty."""
+class Homomorphism(Transducer):
+    """Alphabet morphism extended letter-wise; images may be empty.  It is
+    a one-state transducer, whose one row is linked to itself."""
 
     def __init__(self, source, target, images):
-        for s in source:
-            if s not in images:
-                raise ValueError(f"no image for symbol {s!r}")
-            for o in images[s]:
-                if o not in target:
-                    raise AlphabetError(f"image symbol {o!r} not in target alphabet")
+        super().__init__(source, target, (None,), None,
+                         {(None, s): (None, image) for s, image in images.items()})
         self.source = source
         self.target = target
-        self.images = {s: tuple(images[s]) for s in source}
+        self.images = {s: self.delta[(None, s)][1] for s in source}
 
     def apply_word(self, w):
         out = []
@@ -116,17 +120,14 @@ class Homomorphism:
         return Word(self.target, tuple(out))
 
 
-def pair_alphabet(input_alphabet, states):
-    """The (input symbol, state) product alphabet used for state tracing."""
-    return Alphabet(tuple(itertools.product(input_alphabet.symbols, states)))
-
-
-def _rows(delta):
-    """(state, letter) -> v as state -> {letter: v}, for lookups in a loop."""
-    rows = {}
-    for (q, s), v in delta.items():
-        rows.setdefault(q, {})[s] = v
-    return rows
+def _tracer(machine):
+    """The state-tracing automaton of a machine: it moves as the machine
+    does and writes the (input, current state) pair."""
+    pairs = Alphabet(tuple(itertools.product(machine.input_alphabet.symbols,
+                                             machine.states)))
+    delta = {(q, s): (nxt, (s, q)) for (q, s), (nxt, _) in machine.delta.items()}
+    return Automaton(machine.input_alphabet, pairs, machine.states,
+                     machine.initial, delta)
 
 
 def _upstream(seq, start=0):
@@ -153,48 +154,10 @@ def _check_input(machine, seq, noun):
             raise AlphabetError(f"sequence symbols {missing!r} unknown to {noun}")
 
 
-def run(auto, seq, with_states=False):
-    """The automaton image of a sequence.
-
-    With ``with_states`` the output at step n is the (input, current state)
-    pair; the declared output letter is then a projection of that pair.
-    """
-    _check_input(auto, seq, "automaton")
-    out_alphabet = (
-        pair_alphabet(auto.input_alphabet, auto.states)
-        if with_states
-        else auto.output_alphabet
-    )
-
-    def chunks():
-        rows = _rows(auto.delta)
-        q = auto.initial
-        for letters in _upstream(seq):
-            out = []
-            if with_states:
-                for s in letters:
-                    out.append((s, q))
-                    q = rows[q][s][0]
-            else:
-                for s in letters:
-                    q, o = rows[q][s]
-                    out.append(o)
-            yield out
-
-    mode = "pairs" if with_states else "output"
-    return StreamSequence._of_chunks(
-        out_alphabet, chunks(), description=f"run[{mode}]:{seq.description}"
-    )
-
-
 def is_reversible(auto):
     """True iff every input letter permutes the state set."""
-    nstates = len(auto.states)
-    for s in auto.input_alphabet:
-        image = {auto.delta[(q, s)][0] for q in auto.states}
-        if len(image) != nstates:
-            return False
-    return True
+    return all(len(image) == len(auto.states)
+               for image in letter_images(auto).values())
 
 
 def letter_images(auto):
@@ -218,9 +181,7 @@ def cyclic_automaton(w, input_alphabet):
     """|w|-state cycle advancing on every input, pairing the input with the
     period letter at the current position; reversible by construction."""
     if isinstance(w, str):
-        from .words import word as _word
-
-        w = _word(w)
+        w = word(w)
     if len(w) == 0:
         raise ValueError("period word must be non-empty")
     states = tuple(range(len(w)))
@@ -349,6 +310,16 @@ def split(seq, marker, reg, scan_cap=DEFAULT_SCAN_CAP):
     )
 
 
+def _walk(auto, q, letters):
+    """The (input, state) pairs the automaton passes reading the letters
+    from state q, and the state it ends in."""
+    pairs = []
+    for s in letters:
+        pairs.append((s, q))
+        q = auto.delta[(q, s)][0]
+    return tuple(pairs), q
+
+
 def block_automaton(auto, sr):
     """Recode an automaton to act on split blocks.
 
@@ -363,25 +334,16 @@ def block_automaton(auto, sr):
     states = tuple(q for q in auto.states if q in succ)
 
     delta = {}
-    outputs = []
+    outputs = {}
     for q in states:
         for b in sr.block_alphabet:
-            blk = sr.decode[b].symbols
-            end = q
-            pairs = []
-            for s in blk:
-                pairs.append((s, end))
-                end = auto.delta[(end, s)][0]
-            out = tuple(pairs)
+            out, end = _walk(auto, q, sr.decode[b].symbols)
             delta[(q, b)] = (end, out)
-            if out not in outputs:
-                outputs.append(out)
+            outputs[out] = None
 
     # state after the deleted prefix (ends with the marker, so it lies in Q1)
-    initial = auto.initial
     dropped = sr.original.read(0, sr.offset - 1).symbols if sr.offset else ()
-    for s in dropped:
-        initial = auto.delta[(initial, s)][0]
+    initial = _walk(auto, auto.initial, dropped)[1]
     if initial not in states:
         raise InvariantViolation("post-prefix state escaped the marker image")
     return Automaton(
@@ -486,18 +448,18 @@ def reduce_to_reversible(auto, seq, reg, scan_cap=DEFAULT_SCAN_CAP):
 
 
 # ---------------------------------------------------------------------------
-# Homomorphisms and transducers
+# Driving machines: one loop over the linked rows
 
 
-def _transduce(seq, rows, q, stall_limit):
-    """Output chunks of a transducer run from state q over seq; the output
-    ends after stall_limit consecutive inputs without output (with None,
-    never)."""
+def _transduce(seq, row, stall_limit):
+    """Output chunks of a machine run over seq from a row of its linked
+    rows; the output ends after stall_limit consecutive inputs without
+    output (with None, never)."""
     stalled = 0
     for letters in _upstream(seq):
         out = []
         for s in letters:
-            q, o = rows[q][s]
+            row, o = row[s]
             if o:
                 stalled = 0
                 out += o
@@ -507,6 +469,22 @@ def _transduce(seq, rows, q, stall_limit):
                     yield out
                     return
         yield out
+
+
+def run(auto, seq, with_states=False):
+    """The automaton image of a sequence.
+
+    With ``with_states`` the output at step n is the (input, current state)
+    pair; the declared output letter is then a projection of that pair.
+    """
+    _check_input(auto, seq, "automaton")
+    if with_states:
+        auto = _tracer(auto)
+    mode = "pairs" if with_states else "output"
+    return StreamSequence._of_chunks(
+        auto.output_alphabet, _transduce(seq, auto._row, None),
+        description=f"run[{mode}]:{seq.description}",
+    )
 
 
 def hom_apply(h, seq, reg=None, stall_limit=DEFAULT_STALL_LIMIT):
@@ -521,10 +499,9 @@ def hom_apply(h, seq, reg=None, stall_limit=DEFAULT_STALL_LIMIT):
         if all(len(h.images.get(s, ())) == 0 for s in recurrent):
             raise FiniteOutputError(0)
 
-    rows = {None: {s: (None, img) for s, img in h.images.items()}}
     return StreamSequence._of_chunks(
         h.target,
-        _transduce(seq, rows, None, stall_limit if reg is None else None),
+        _transduce(seq, h._row, stall_limit if reg is None else None),
         description=f"hom:{seq.description}",
     )
 
@@ -535,7 +512,7 @@ def transducer_run(trans, seq, stall_limit=DEFAULT_STALL_LIMIT):
     _check_input(trans, seq, "transducer")
     return StreamSequence._of_chunks(
         trans.output_alphabet,
-        _transduce(seq, _rows(trans.delta), trans.initial, stall_limit),
+        _transduce(seq, trans._row, stall_limit),
         description=f"transduce:{seq.description}",
     )
 
@@ -547,31 +524,31 @@ def transducer_decompose(trans):
     pair to the transducer's output word for it.  Composing the two
     reproduces the transducer's mapping wherever either side is defined.
     """
-    pairs = pair_alphabet(trans.input_alphabet, trans.states)
-    delta = {
-        (q, s): (trans.delta[(q, s)][0], (s, q))
-        for q in trans.states
-        for s in trans.input_alphabet
-    }
-    auto = Automaton(trans.input_alphabet, pairs, trans.states, trans.initial, delta)
-    images = {(s, q): trans.delta[(q, s)][1] for (s, q) in pairs}
-    hom = Homomorphism(pairs, trans.output_alphabet, images)
-    return auto, hom
+    auto = _tracer(trans)
+    images = {(s, q): out for (q, s), (_, out) in trans.delta.items()}
+    return auto, Homomorphism(auto.output_alphabet, trans.output_alphabet, images)
 
 
 # ---------------------------------------------------------------------------
 # Text formats
 
 
-def _parse_header(lines, path, required):
+_HEADERS = ("input", "output", "states", "initial")
+
+
+def _parse_header(path, required):
+    """The header lines of a machine file, each key at most once, and the
+    other lines as (line number, line)."""
     header = {}
     body = []
-    for lineno, raw in lines:
-        parts = raw.split()
-        if parts[0].rstrip(":") in ("input", "output", "states", "initial"):
-            header[parts[0].rstrip(":")] = parts[1:]
+    for lineno, line in _content_lines(path):
+        key = line.split()[0].rstrip(":")
+        if key not in _HEADERS:
+            body.append((lineno, line))
+        elif key in header:
+            raise ValueError(f"{path}:{lineno}: repeated {key!r} header line")
         else:
-            body.append((lineno, raw))
+            header[key] = line.split()[1:]
     for key in required:
         if key not in header:
             raise ValueError(f"{path}: missing {key!r} header line")
@@ -588,71 +565,62 @@ def _content_lines(path):
                 yield lineno, line
 
 
-def _parse_transitions(body, path):
-    delta = {}
+def _parse_arrows(body, path, arity, noun):
+    """``lhs -> rhs`` lines as {lhs tokens: rhs tokens}, each lhs at most
+    once.  The lhs has arity tokens: a letter, after the state if there is
+    one, and then the rhs starts with the next state."""
+    lines = {}
     for lineno, line in body:
-        try:
-            lhs, rhs = line.split("->")
-            q, s = lhs.split()
-            rhs = rhs.split()
-            nxt, out = rhs[0], rhs[1:]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad transition line {line!r}")
-        delta[(q, s)] = (nxt, out)
-    return delta
+        parts = line.split("->")
+        lhs = tuple(parts[0].split())
+        rhs = parts[-1].split()
+        if len(parts) != 2 or len(lhs) != arity or len(rhs) < arity - 1:
+            raise ValueError(f"{path}:{lineno}: bad {noun} line {line!r}")
+        if lhs in lines:
+            raise ValueError(
+                f"{path}:{lineno}: repeated {noun} for {' '.join(lhs)!r}")
+        lines[lhs] = rhs
+    return lines
+
+
+def _load_machine(path, cls, output):
+    """The machine of a machine file; output turns the tokens after a
+    transition's next state into its delta entry."""
+    header, body = _parse_header(path, _HEADERS)
+    delta = {
+        key: (rhs[0], output(rhs[1:]))
+        for key, rhs in _parse_arrows(body, path, 2, "transition").items()
+    }
+    return cls(Alphabet(header["input"]), Alphabet(header["output"]),
+               header["states"], header["initial"][0], delta)
 
 
 def load_automaton(path):
     """Text format: header lines ``input:``, ``output:``, ``states:``,
     ``initial:``, then ``state symbol -> state output`` lines."""
-    header, body = _parse_header(
-        list(_content_lines(path)), path, ("input", "output", "states", "initial")
-    )
-    delta = {}
-    for key, (nxt, out) in _parse_transitions(body, path).items():
+
+    def letter(out):
         if len(out) != 1:
             raise ValueError(f"{path}: automaton transitions emit exactly one symbol")
-        delta[key] = (nxt, out[0])
-    return Automaton(
-        Alphabet(header["input"]),
-        Alphabet(header["output"]),
-        tuple(header["states"]),
-        header["initial"][0],
-        delta,
-    )
+        return out[0]
+
+    return _load_machine(path, Automaton, letter)
 
 
 def load_transducer(path):
     """Same format as automata, but the output field is a word or ``-``."""
-    header, body = _parse_header(
-        list(_content_lines(path)), path, ("input", "output", "states", "initial")
-    )
-    delta = {}
-    for key, (nxt, out) in _parse_transitions(body, path).items():
-        delta[key] = (nxt, () if out == ["-"] else tuple(out))
-    return Transducer(
-        Alphabet(header["input"]),
-        Alphabet(header["output"]),
-        tuple(header["states"]),
-        header["initial"][0],
-        delta,
-    )
+    return _load_machine(path, Transducer, lambda out: () if out == ["-"] else out)
 
 
 def load_homomorphism(path):
     """Lines ``symbol -> word|-`` with ``input:``/``output:`` headers."""
-    header, body = _parse_header(list(_content_lines(path)), path, ("input",))
+    header, body = _parse_header(path, ("input",))
     source = Alphabet(header["input"])
     target = Alphabet(header["output"]) if "output" in header else source
-    images = {}
-    for lineno, line in body:
-        try:
-            lhs, rhs = line.split("->")
-            (s,) = lhs.split()
-            rhs = rhs.split()
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad image line {line!r}")
-        images[s] = () if rhs == ["-"] else tuple(rhs)
+    images = {
+        s: () if rhs == ["-"] else rhs
+        for (s,), rhs in _parse_arrows(body, path, 1, "image").items()
+    }
     return Homomorphism(source, target, images)
 
 

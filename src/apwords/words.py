@@ -152,7 +152,9 @@ def complement(w):
 class SequenceHandle:
     """A lazily evaluable infinite word: a pure function of index.
 
-    ``at(i)`` must be deterministic.  ``read(i, j)`` is served by the range
+    ``at(i)`` rejects a negative index as ``read`` does, then serves letter
+    i from ``_at(i)``, which a handle supplies and which must be
+    deterministic.  ``read(i, j)`` is served by the range
     read ``_read_symbols(i, j)``, which returns letters i..j in one call and
     must equal the individual reads ``at(i) ... at(j)``; composite handles
     serve it from their children's range reads.  A handle may fill ahead of
@@ -167,6 +169,11 @@ class SequenceHandle:
         self.description = description
 
     def at(self, i):
+        if i < 0:
+            raise ValueError(f"bad read range [{i}, {i}]")
+        return self._at(i)
+
+    def _at(self, i):
         raise NotImplementedError
 
     def read(self, i, j):
@@ -216,7 +223,7 @@ class _Suffix(SequenceHandle):
         self._base = base
         self._shift = shift
 
-    def at(self, i):
+    def _at(self, i):
         return self._base.at(self._shift + i)
 
     def _read_symbols(self, i, j):
@@ -242,7 +249,7 @@ class FuncSequence(SequenceHandle):
             self._chunks[c] = chunk
         return chunk
 
-    def at(self, i):
+    def _at(self, i):
         return self._chunk(i // self.CHUNK)[i % self.CHUNK]
 
     def _read_symbols(self, i, j):
@@ -302,7 +309,7 @@ class StreamSequence(SequenceHandle):
                 raise self._error
             raise FiniteOutputError(len(self._buf))
 
-    def at(self, i):
+    def _at(self, i):
         self._check(i)
         return self._buf[i]
 
@@ -331,7 +338,7 @@ class _Product(SequenceHandle):
         self._a = seq_a
         self._b = seq_b
 
-    def at(self, i):
+    def _at(self, i):
         return (self._a.at(i), self._b.at(i))
 
     def _read_symbols(self, i, j):
@@ -349,7 +356,7 @@ class _Projection(SequenceHandle):
         self._seq = seq
         self._k = k
 
-    def at(self, i):
+    def _at(self, i):
         return self._seq.at(i)[self._k]
 
     def _read_symbols(self, i, j):
@@ -372,7 +379,7 @@ class _Periodic(SequenceHandle):
         super().__init__(w.alphabet, f"periodic:{w.text()}")
         self._syms = w.symbols
 
-    def at(self, i):
+    def _at(self, i):
         return self._syms[i % len(self._syms)]
 
     def _read_symbols(self, i, j):
@@ -396,7 +403,7 @@ class _Prepend(SequenceHandle):
         self._head = w.symbols
         self._seq = seq
 
-    def at(self, i):
+    def _at(self, i):
         k = len(self._head)
         return self._head[i] if i < k else self._seq.at(i - k)
 
@@ -438,26 +445,9 @@ class SchemeSpec:
     start: object = None
 
     def __post_init__(self):
-        lengths = set()
-        for lab in self.labels:
-            if lab not in self.rules:
-                raise SchemeError(f"no rule for label {lab!r}")
-            image = self.rules[lab]
-            lengths.add(len(image))
-            for s in image:
-                if s not in self.labels:
-                    raise SchemeError(f"rule image symbol {s!r} is not a label")
-            if lab not in self.decode:
-                raise SchemeError(f"no decode entry for label {lab!r}")
-        if len(lengths) != 1:
-            raise SchemeError("rule images must all have the same length")
-        k = lengths.pop()
-        if k < 2:
-            raise SchemeError("rule images must have length >= 2")
-        if self.start not in self.labels:
-            raise SchemeError("start label missing from label alphabet")
-        if self.rules[self.start][0] != self.start:
-            raise SchemeError("start label's image must begin with the start label")
+        fault = _scheme_fault(self.labels, self.rules, self.decode, self.start)
+        if fault:
+            raise SchemeError(fault[1])
 
     @property
     def block_length(self):
@@ -470,6 +460,30 @@ class SchemeSpec:
             if v not in seen:
                 seen.append(v)
         return Alphabet(seen)
+
+
+def _scheme_fault(labels, rules, decode, start):
+    """The first structural fault of a scheme, as (the stanza of a scheme
+    file at fault, message), or None."""
+    for lab in labels:
+        if lab not in rules:
+            return "labels", f"no rule for label {lab!r}"
+        for s in rules[lab]:
+            if s not in labels:
+                return f"rule {lab}", f"rule image symbol {s!r} is not a label"
+        if lab not in decode:
+            return "labels", f"no decode entry for label {lab!r}"
+    k = len(rules[labels.symbols[0]])
+    for lab in labels:
+        if len(rules[lab]) != k:
+            return f"rule {lab}", "rule images must all have the same length"
+    if k < 2:
+        return f"rule {labels.symbols[0]}", "rule images must have length >= 2"
+    if start not in labels:
+        return "start", "start label missing from label alphabet"
+    if rules[start][0] != start:
+        return "start", "start label's image must begin with the start label"
+    return None
 
 
 # Range reads of a fixed point are cut from aligned stretches of k^b letters,
@@ -543,9 +557,7 @@ class _FixedPoint(SequenceHandle):
             return tuple(text)
         return tuple(map(self._stand_ins.__getitem__, text))
 
-    def at(self, i):
-        if i < 0:
-            raise ValueError(f"bad index {i}")
+    def _at(self, i):
         return self._decode[self._label(i)]
 
     def _read_symbols(self, i, j):
@@ -638,7 +650,7 @@ class _QuintupleConcat(SequenceHandle):
             raise ResourceLimitError(f"index {i} exceeds ceiling {DEFAULT_CEILING}")
         return n
 
-    def at(self, i):
+    def _at(self, i):
         n = self._level_for(i)
         return self._limit.at((i - self._bounds[n]) % 5 ** n)
 
@@ -762,7 +774,10 @@ def parse_scheme_file(path):
                 raise SchemeError(f"{path}:{lineno}: repeated {stanza!r} stanza")
             seen[stanza] = lineno
             if kind == "labels":
-                labels = Alphabet(parts[1:])
+                try:
+                    labels = Alphabet(parts[1:])
+                except AlphabetError as exc:
+                    raise AlphabetError(f"{path}:{lineno}: {exc}") from None
             elif kind == "start":
                 if len(parts) != 2:
                     raise SchemeError(f"{path}:{lineno}: start takes one label")
@@ -783,6 +798,11 @@ def parse_scheme_file(path):
         kind, _, lab = stanza.partition(" ")
         if lab and lab not in labels:
             raise SchemeError(f"{path}:{lineno}: {kind} for undeclared label {lab!r}")
+    fault = _scheme_fault(labels, rules, decode, start)
+    if fault:
+        stanza, message = fault
+        where = f"{path}:{seen[stanza]}" if stanza in seen else path
+        raise SchemeError(f"{where}: {message}")
     return SchemeSpec(labels=labels, rules=rules, decode=decode, start=start)
 
 

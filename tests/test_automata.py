@@ -417,6 +417,64 @@ def test_automaton_file_errors(tmp_path):
         load_automaton(str(p))
 
 
+def test_machines_reject_transitions_outside_states_and_input():
+    delta = {("q", "0"): ("q", "1"), ("q", "1"): ("q", "0")}
+    for extra in (("p", "0"), ("q", "2")):
+        with pytest.raises(ValueError, match="outside the states and input"):
+            Automaton(BIN, BIN, ("q",), "q", {**delta, extra: ("q", "0")})
+        with pytest.raises(ValueError, match="outside the states and input"):
+            Transducer(BIN, BIN, ("q",), "q", {**delta, extra: ("q", ())})
+    with pytest.raises(ValueError, match="outside the states and input"):
+        Homomorphism(BIN, BIN, {"0": (), "1": ("1",), "2": ("0",)})
+
+
+def test_automaton_is_a_transducer_and_homomorphism_a_one_state_one():
+    auto = merge2_automaton()
+    assert isinstance(auto, Transducer)
+    assert auto.delta[("q0", "1")] == ("q1", "1")
+    h = Homomorphism(BIN, BIN, {"0": ["1", "0"], "1": ()})
+    assert isinstance(h, Transducer)
+    assert h.states == (None,)
+    assert h.images == {"0": ("1", "0"), "1": ()}
+    assert h.apply_word(word("0110")).symbols == ("1", "0", "1", "0")
+
+
+HEAD = "input: 0 1\noutput: 0 1\nstates: a b\ninitial: a\n"
+TABLE = "a 0 -> a 0\na 1 -> b 1\nb 0 -> a 0\nb 1 -> b 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (HEAD + TABLE + "a 0 -> a 1\n", r"m\.aut:9: repeated transition for 'a 0'"),
+    (HEAD + TABLE + "c 0 -> a 0\n", r"from \('c', '0'\) outside the states"),
+    (HEAD + TABLE + "a 2 -> a 0\n", r"from \('a', '2'\) outside the states"),
+    (HEAD + "states: a\n" + TABLE, r"m\.aut:5: repeated 'states' header line"),
+    (HEAD + "initial: b\n" + TABLE, r"m\.aut:5: repeated 'initial' header line"),
+    (HEAD + "a 0 ->\n" + TABLE, r"m\.aut:5: bad transition line 'a 0 ->'"),
+    (HEAD.replace("states: a b", "states: a b a") + TABLE, "states must be distinct"),
+])
+def test_machine_files_reject_repeated_and_undeclared_lines(tmp_path, text, message):
+    p = tmp_path / "m.aut"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_automaton(str(p))
+    t = tmp_path / "m.trans"
+    t.write_text(text)
+    with pytest.raises(ValueError, match=message.replace("aut", "trans")):
+        load_transducer(str(t))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("input: 0 1\n0 -> 1\n1 -> 0\n0 -> 0 0\n", r"h\.hom:4: repeated image for '0'"),
+    ("input: 0 1\ninput: 0\n0 -> 1\n1 -> 0\n", r"h\.hom:2: repeated 'input' header"),
+    ("input: 0 1\n0 -> 1\n1 -> 0\n2 -> 0\n", r"from \(None, '2'\) outside the states"),
+])
+def test_homomorphism_files_reject_repeated_and_undeclared_lines(tmp_path, text, message):
+    p = tmp_path / "h.hom"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_homomorphism(str(p))
+
+
 # ---------------------------------------------------------------------------
 # Laziness: machine streams read upstream a range at a time, yet raise only
 # where a per-letter reader would
@@ -488,3 +546,116 @@ def test_split_probe_window_stops_at_its_letter_cap():
         "sparse")
     with pytest.raises(ap.InvariantViolation, match="block of length 40"):
         split(seq, "1", ap.identity_plus(3), scan_cap=100)
+
+
+# ---------------------------------------------------------------------------
+# Reference drivers: every machine stream runs the one linked-row loop, so it
+# is checked here against plain per-letter loops over delta
+
+
+def ref_run(auto, inputs, with_states=False):
+    """Outputs of an automaton over a finite list of inputs, letter by letter;
+    with_states writes the (input, current state) pair instead."""
+    rows = {}
+    for (q, s), v in auto.delta.items():
+        rows.setdefault(q, {})[s] = v
+    q = auto.initial
+    out = []
+    if with_states:
+        for s in inputs:
+            out.append((s, q))
+            q = rows[q][s][0]
+    else:
+        for s in inputs:
+            q, o = rows[q][s]
+            out.append(o)
+    return out
+
+
+def ref_transduce(delta, q, inputs, stall_limit):
+    """Output of a transducer over a finite list of inputs, letter by letter,
+    and whether it ended after stall_limit consecutive silent inputs."""
+    rows = {}
+    for (p, s), v in delta.items():
+        rows.setdefault(p, {})[s] = v
+    stalled = 0
+    out = []
+    for s in inputs:
+        q, o = rows[q][s]
+        if o:
+            stalled = 0
+            out += o
+        else:
+            stalled += 1
+            if stall_limit is not None and stalled >= stall_limit:
+                return out, True
+    return out, False
+
+
+def assert_stream(stream, inputs, finite, expected, stalled=False):
+    """The stream starts with the expected letters; where the reference
+    says it ends, a read just past them raises FiniteOutputError with the
+    produced count of a per-letter reader: the output length after a stall,
+    the input length where a finite input runs out."""
+    if expected:
+        assert stream.read(0, len(expected) - 1).symbols == tuple(expected)
+    if stalled or finite:
+        with pytest.raises(ap.FiniteOutputError) as exc:
+            stream.at(len(expected))
+        assert exc.value.produced == (len(expected) if stalled else len(inputs))
+
+
+def random_machine(rng, letters, outputs):
+    """1-4 states over the letters; a transducer with outputs of 0-2 letters
+    and an automaton with one-letter outputs."""
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 4)))
+    words, letter_outs = {}, {}
+    for q in states:
+        for s in letters:
+            nxt = rng.choice(states)
+            words[(q, s)] = (nxt, tuple(rng.choice(outputs)
+                                        for _ in range(rng.randint(0, 2))))
+            letter_outs[(q, s)] = (rng.choice(states), rng.choice(outputs))
+    sigma, out = Alphabet(tuple(letters)), Alphabet(tuple(outputs))
+    return (Transducer(sigma, out, states, states[0], words),
+            Automaton(sigma, out, states, states[0], letter_outs))
+
+
+def reference_inputs(rng):
+    """(letters, sequence maker, prefix, finite) for TM, the folded counting
+    sequence and finite streams."""
+    yield "01", thue_morse, read(thue_morse(), 0, 4999).symbols, False
+    letters = "abc"[:rng.randint(1, 3)]
+    fold = ap.FuncSequence(Alphabet(tuple(letters)),
+                           lambda i: letters[bin(i).count("1") % len(letters)],
+                           "folded counting sequence")
+    yield letters, lambda: fold, read(fold, 0, 4999).symbols, False
+    text = tuple(rng.choice(letters) for _ in range(rng.randint(0, 300)))
+    yield (letters, lambda: ap.StreamSequence(Alphabet(tuple(letters)), iter(text),
+                                              "finite"), text, True)
+
+
+def test_drivers_match_per_letter_references():
+    rng = random.Random(77)
+    for _ in range(12):
+        for letters, make, xs, finite in reference_inputs(rng):
+            trans, auto = random_machine(rng, letters, "xy")
+            assert_stream(run(auto, make()), xs, finite, ref_run(auto, xs))
+            assert_stream(run(auto, make(), with_states=True), xs, finite,
+                          ref_run(auto, xs, with_states=True))
+            dec_auto, hom = transducer_decompose(trans)
+            pairs = ref_run(dec_auto, xs)
+            assert pairs == ref_run(trans, xs, with_states=True)
+            if xs:
+                whole, _ = ref_transduce(trans.delta, trans.initial, xs, None)
+                traced = read(run(dec_auto, make()), 0, len(xs) - 1)
+                assert hom.apply_word(traced).symbols == tuple(whole)
+            for stall in (1, 3, 64, None):
+                out, stalled = ref_transduce(trans.delta, trans.initial, xs, stall)
+                assert_stream(transducer_run(trans, make(), stall_limit=stall),
+                              xs, finite, out, stalled)
+                one_state = {(None, s): (None, image) for s, image in hom.images.items()}
+                h_out, h_stalled = ref_transduce(one_state, None, pairs, stall)
+                assert (h_out, h_stalled) == (out, stalled)
+                assert_stream(hom_apply(hom, run(dec_auto, make()), stall_limit=stall),
+                              xs, finite, h_out, h_stalled)

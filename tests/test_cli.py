@@ -184,8 +184,58 @@ def test_decompose_roundtrip(capsys, tmp_path):
     )
     code, out = run_cli(capsys, ["decompose", "--trans", str(trans)])
     assert code == 0
-    assert "# state-tracing automaton" in out
-    assert "# homomorphism" in out
+    assert out == (
+        "# state-tracing automaton\n"
+        "input: 0 1\n"
+        "output: ('0', 'q') ('1', 'q')\n"
+        "states: q\n"
+        "initial: q\n"
+        "q 0 -> q ('0', 'q')\n"
+        "q 1 -> q ('1', 'q')\n"
+        "# homomorphism\n"
+        "input: ('0', 'q') ('1', 'q')\n"
+        "output: 0 1\n"
+        "('0', 'q') -> -\n"
+        "('1', 'q') -> 1 1\n"
+        "\n"
+    )
+
+
+MERGE2_AUT = ("input: 0 1\noutput: 0 1\nstates: q0 q1\ninitial: q0\n"
+              "q0 0 -> q0 0\nq1 0 -> q0 0\nq0 1 -> q1 1\nq1 1 -> q0 1\n")
+
+
+def test_run_with_states_exact_output(capsys, tmp_path):
+    aut = tmp_path / "merge2.aut"
+    aut.write_text(MERGE2_AUT)
+    code, out = run_cli(capsys, ["run", "--auto", str(aut), "--spec", "tm",
+                                 "--count", "8", "--with-states"])
+    assert code == 0
+    assert out == ("('0', 'q0') ('1', 'q0') ('1', 'q1') ('0', 'q0') "
+                   "('1', 'q0') ('0', 'q1') ('0', 'q0') ('1', 'q0')\n")
+
+
+def test_reduce_json_exact_output(capsys, tmp_path):
+    aut = tmp_path / "merge2.aut"
+    aut.write_text(MERGE2_AUT)
+    reg = tmp_path / "tm.reg"
+    reg.write_text("1 3\n2 9\n3 11\n4 21\n5 22\n6 41\n7 42\n8 43\n9 44\n"
+                   "10 81\n11 82\n12 83\n")
+    code, out = run_cli(capsys, ["reduce", "--auto", str(aut), "--spec", "tm",
+                                 "--reg", f"empirical:{reg}", "--json"])
+    assert code == 0
+    assert out == ('{"deleted_prefix_len": 1, "final_reversible": true, '
+                   '"letters": ["0"], "op": "reduce", "spec": "tm", '
+                   '"state_counts": [2, 1], "steps": 1, "theorem_bound": 14}\n')
+
+
+def test_repeated_transition_exit_2(capsys, tmp_path):
+    aut = tmp_path / "twice.aut"
+    aut.write_text(MERGE2_AUT + "q0 0 -> q0 1\n")
+    assert cli.main(["run", "--auto", str(aut), "--spec", "tm", "--count", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {aut}:9: repeated transition for 'q0 0'\n"
 
 
 def test_json_report_shape(capsys):
@@ -258,3 +308,17 @@ def test_bad_scheme_file_exit_2(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{sch}:5: repeated 'rule A' stanza" in captured.err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("labels\nstart A\n", ":1: alphabet must be non-empty"),
+    ("labels A B\nstart A\nrule A A C\nrule B B A\ndecode A 0\ndecode B 1\n",
+     ":3: rule image symbol 'C' is not a label"),
+])
+def test_scheme_file_error_location_exit_2(capsys, tmp_path, text, message):
+    sch = tmp_path / "bad.scheme"
+    sch.write_text(text)
+    assert cli.main(["scheme-validate", "--scheme", str(sch)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {sch}{message}\n"

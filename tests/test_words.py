@@ -161,10 +161,23 @@ def test_stream_sequence_finite_output():
         s.at(4)
 
 
-def test_fixed_points_reject_negative_indices():
-    for seq in (thue_morse(), ap.quintuple_limit()):
-        with pytest.raises(ValueError):
-            seq.at(-1)
+def test_negative_index_is_rejected_like_a_negative_read():
+    tm = thue_morse()
+    pairs = product(tm, periodic(word("01")))
+    auto = ap.cyclic_automaton(word("ab"), ap.BINARY)
+    for seq in (tm, ap.quintuple_limit(), scheme_generate(tm_scheme()), thm21(),
+                thm21_tau((4, 5)), periodic(word("01")), prepend(word("0"), tm),
+                tm.suffix(3), pairs, projections(pairs)[1], tm_triple_fixture(1),
+                ap.FuncSequence(ap.BINARY, lambda i: "01"[i % 2], "alternating"),
+                ap.StreamSequence(ap.BINARY, iter("0101"), "finite"),
+                ap.run(auto, tm), make_sequence("suffix:2:prepend:01:tm")):
+        read(seq, 0, 3)  # fill a stream's buffer, which a negative index reached
+        for i in (-1, -5):
+            with pytest.raises(ValueError) as by_read:
+                seq.read(i, i)
+            with pytest.raises(ValueError) as by_at:
+                seq.at(i)
+            assert str(by_at.value) == str(by_read.value), seq
 
 
 def test_tm_triple_fixture_prefix():
@@ -303,6 +316,27 @@ def test_scheme_file_rejects_repeats_and_undeclared_labels(tmp_path, extra, mess
     with pytest.raises(ap.SchemeError) as exc:
         ap.parse_scheme_file(str(p))
     assert str(exc.value) == f"{p}:7: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("labels\nstart A\n", ":1: alphabet must be non-empty"),
+    ("labels A A\n", ":1: duplicate symbol 'A'"),
+    (TM_SCHEME_TEXT.replace("rule A A B", "rule A A C"),
+     ":3: rule image symbol 'C' is not a label"),
+    (TM_SCHEME_TEXT.replace("rule B B A", "rule B B A A"),
+     ":4: rule images must all have the same length"),
+    (TM_SCHEME_TEXT.replace("start A", "start B").replace("B B A", "B A B"),
+     ":2: start label's image must begin with the start label"),
+    (TM_SCHEME_TEXT.replace("decode B 1\n", ""), ":1: no decode entry for label 'B'"),
+    (TM_SCHEME_TEXT.replace("start A\n", ""),
+     ": start label missing from label alphabet"),
+])
+def test_scheme_file_errors_name_the_stanza_at_fault(tmp_path, text, message):
+    p = tmp_path / "bad.scheme"
+    p.write_text(text)
+    with pytest.raises((ap.SchemeError, ap.AlphabetError)) as exc:
+        ap.parse_scheme_file(str(p))
+    assert str(exc.value) == f"{p}{message}"
 
 
 def test_scheme_file_labels_may_follow_rules(tmp_path):
