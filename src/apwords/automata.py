@@ -133,17 +133,22 @@ def _tracer(machine):
 def _upstream(seq, start=0):
     """The letters of seq from start on, a range read at a time.
 
-    Where seq ends or fails, the letters before that position come first;
-    then the plain read of that position raises, so a machine stream meets
-    the error only where a per-letter reader would.
+    Once a range read fails (seq ends or fails inside it), the letters come
+    one at a time: those before the failing position still come out, and
+    the read of that position raises, so a machine stream meets the error
+    only where a per-letter reader would.
     """
     i = start
     while True:
-        letters = seq._read_available(i, i + _CHUNK - 1)
-        if not letters:
-            letters = (seq.at(i),)
+        try:
+            letters = seq._read_symbols(i, i + _CHUNK - 1)
+        except Exception:
+            break
         yield letters
-        i += len(letters)
+        i += _CHUNK
+    while True:
+        yield (seq.at(i),)
+        i += 1
 
 
 def _check_input(machine, seq, noun):
@@ -494,9 +499,10 @@ def hom_apply(h, seq, reg=None, stall_limit=DEFAULT_STALL_LIMIT):
     recurrent letters; without one, a read that consumes ``stall_limit``
     inputs with no output raises the finite-image error lazily.
     """
+    _check_input(h, seq, "homomorphism")
     if reg is not None:
         recurrent = infinite_letters(seq, reg)
-        if all(len(h.images.get(s, ())) == 0 for s in recurrent):
+        if not any(h.images[s] for s in recurrent):
             raise FiniteOutputError(0)
 
     return StreamSequence._of_chunks(

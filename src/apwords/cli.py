@@ -39,7 +39,7 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, spec=True, reg=False, horizon=False):
+    def common(sp, spec=True, reg=False, horizon=False, as_json=True):
         if spec:
             sp.add_argument("--spec", required=True, help="sequence-spec string")
         if reg:
@@ -47,18 +47,19 @@ def _build_parser():
         if horizon:
             sp.add_argument("--horizon", type=_positive_int, default=DEFAULT_HORIZON)
             sp.add_argument("--nmax", type=_positive_int, default=DEFAULT_NMAX)
-        sp.add_argument("--json", action="store_true", help="emit a JSON report")
+        if as_json:
+            sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument("--out", help="write the report to this file")
 
     sp = sub.add_parser("gen", help="print a prefix of a sequence")
     sp.add_argument("--count", type=_positive_int, default=64)
-    common(sp)
+    common(sp, as_json=False)
 
     sp = sub.add_parser("run", help="run an automaton over a sequence")
     sp.add_argument("--auto", required=True)
     sp.add_argument("--count", type=_positive_int, default=64)
     sp.add_argument("--with-states", action="store_true")
-    common(sp)
+    common(sp, as_json=False)
 
     sp = sub.add_parser("split", help="marker-split a sequence into blocks")
     sp.add_argument("--marker", required=True)
@@ -88,13 +89,11 @@ def _build_parser():
     sp = sub.add_parser("scheme-validate", help="check scheme recurrence conditions")
     sp.add_argument("--scheme", required=True)
     sp.add_argument("--strengthened", action="store_true")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out", help="write the report to this file")
+    common(sp, spec=False)
 
     sp = sub.add_parser("decompose", help="split a transducer into automaton + hom")
     sp.add_argument("--trans", required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out", help="write the report to this file")
+    common(sp, spec=False, as_json=False)
 
     return p
 

@@ -19,21 +19,20 @@ PROVENANCES = ("explicit-formula", "derived", "empirical-lower-bound")
 class Regulator:
     """A total monotone map length -> window length with provenance."""
 
-    def __init__(self, fn, provenance, description, ceiling=DEFAULT_CEILING):
+    def __init__(self, fn, provenance, description):
         if provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
         self._fn = fn
         self.provenance = provenance
         self.description = description
-        self.ceiling = ceiling
 
     def __call__(self, n):
         if n < 1:
             raise ValueError("factor length must be >= 1")
-        if n > self.ceiling:
+        if n > DEFAULT_CEILING:
             raise ResourceLimitError(f"regulator argument {n} exceeds ceiling")
         v = self._fn(n)
-        if v > self.ceiling:
+        if v > DEFAULT_CEILING:
             raise ResourceLimitError(f"regulator value {v} exceeds ceiling")
         if v < n:
             raise ValueError(f"{self.description}: r({n}) = {v} < {n}")
@@ -94,30 +93,22 @@ def reg_split(r, k):
     """
     if k < 1:
         raise ValueError("max block length must be >= 1")
-    return Regulator(
-        lambda m: r(k * m + 1), "derived", f"split(k={k}) of {r.description}",
-        ceiling=r.ceiling,
-    )
+    return Regulator(lambda m: r(k * m + 1), "derived",
+                     f"split(k={k}) of {r.description}")
 
 
 def pointwise_max(r1, r2, provenance="derived"):
     """r(n) = max(r1(n), r2(n)); lets fixture families share one regulator."""
-    return Regulator(
-        lambda n: max(r1(n), r2(n)),
-        provenance,
-        f"max({r1.description}, {r2.description})",
-        ceiling=min(r1.ceiling, r2.ceiling),
-    )
+    return Regulator(lambda n: max(r1(n), r2(n)), provenance,
+                     f"max({r1.description}, {r2.description})")
 
 
 def scaled(r, factor):
     """r'(n) = factor * r(n) (a larger function is again a regulator)."""
     if factor < 1:
         raise ValueError("scale factor must be >= 1")
-    return Regulator(
-        lambda n: factor * r(n), "derived", f"{factor}*{r.description}",
-        ceiling=r.ceiling,
-    )
+    return Regulator(lambda n: factor * r(n), "derived",
+                     f"{factor}*{r.description}")
 
 
 def reg_iterated_bound(r, n):
@@ -194,13 +185,3 @@ def parse_regulator(text):
         return load_table_regulator(text.split(":", 1)[1])
     raise ValueError(f"unknown regulator descriptor {text!r}")
 
-
-def is_monotone_sampled(r, upto=64):
-    """Spot-check monotonicity and r(n) >= n on n = 1..upto."""
-    prev = 0
-    for n in range(1, upto + 1):
-        v = r(n)
-        if v < n or v < prev:
-            return False
-        prev = v
-    return True

@@ -152,16 +152,15 @@ def complement(w):
 class SequenceHandle:
     """A lazily evaluable infinite word: a pure function of index.
 
-    ``at(i)`` rejects a negative index as ``read`` does, then serves letter
-    i from ``_at(i)``, which a handle supplies and which must be
-    deterministic.  ``read(i, j)`` is served by the range
-    read ``_read_symbols(i, j)``, which returns letters i..j in one call and
-    must equal the individual reads ``at(i) ... at(j)``; composite handles
-    serve it from their children's range reads.  A handle may fill ahead of
-    a read (memoize a chunk, drive a machine further) only where that cannot
-    raise: a failure or the end of a finite word surfaces only when a read
-    reaches its position.  Handles are immutable after construction and safe
-    for concurrent reads.
+    A handle supplies one deterministic range read, ``_read_symbols(i, j)``,
+    which returns letters i..j in one call; composite handles serve it from
+    their children's range reads.  ``read(i, j)`` wraps it in a Word, and
+    ``at(i)`` is the one-letter range read ``_read_symbols(i, i)``; both
+    reject a negative index.  A handle may fill ahead of a read (memoize a
+    chunk, drive a machine further) only where that cannot raise: a failure
+    or the end of a finite word surfaces only when a read reaches its
+    position.  Handles are immutable after construction and safe for
+    concurrent reads.
     """
 
     def __init__(self, alphabet, description=""):
@@ -171,35 +170,12 @@ class SequenceHandle:
     def at(self, i):
         if i < 0:
             raise ValueError(f"bad read range [{i}, {i}]")
-        return self._at(i)
-
-    def _at(self, i):
-        raise NotImplementedError
+        return self._read_symbols(i, i)[0]
 
     def read(self, i, j):
         if i < 0 or i > j:
             raise ValueError(f"bad read range [{i}, {j}]")
         return Word(self.alphabet, self._read_symbols(i, j))
-
-    def _read_symbols(self, i, j):
-        return tuple(self.at(k) for k in range(i, j + 1))
-
-    def _read_available(self, i, j):
-        """Letters i..j, or the prefix of them that a plain read would give
-        without raising: this stops quietly where the word ends or a read
-        fails, and a plain read of that position raises.  Handles are
-        functions of index (streams keep their error), so the error is
-        deferred, never lost."""
-        try:
-            return self._read_symbols(i, j)
-        except Exception:
-            out = []
-            for k in range(i, j + 1):
-                try:
-                    out.append(self.at(k))
-                except Exception:
-                    break
-            return tuple(out)
 
     def suffix(self, n):
         """The handle for index -> self(n + index)."""
@@ -223,9 +199,6 @@ class _Suffix(SequenceHandle):
         self._base = base
         self._shift = shift
 
-    def _at(self, i):
-        return self._base.at(self._shift + i)
-
     def _read_symbols(self, i, j):
         return self._base._read_symbols(self._shift + i, self._shift + j)
 
@@ -248,9 +221,6 @@ class FuncSequence(SequenceHandle):
             # idempotent fill: concurrent writers produce identical chunks
             self._chunks[c] = chunk
         return chunk
-
-    def _at(self, i):
-        return self._chunk(i // self.CHUNK)[i % self.CHUNK]
 
     def _read_symbols(self, i, j):
         c, lo = divmod(i, self.CHUNK)
@@ -309,16 +279,8 @@ class StreamSequence(SequenceHandle):
                 raise self._error
             raise FiniteOutputError(len(self._buf))
 
-    def _at(self, i):
-        self._check(i)
-        return self._buf[i]
-
     def _read_symbols(self, i, j):
         self._check(j)
-        return tuple(self._buf[i:j + 1])
-
-    def _read_available(self, i, j):
-        self._ensure(j)
         return tuple(self._buf[i:j + 1])
 
 
@@ -338,9 +300,6 @@ class _Product(SequenceHandle):
         self._a = seq_a
         self._b = seq_b
 
-    def _at(self, i):
-        return (self._a.at(i), self._b.at(i))
-
     def _read_symbols(self, i, j):
         return tuple(zip(self._a._read_symbols(i, j), self._b._read_symbols(i, j)))
 
@@ -355,9 +314,6 @@ class _Projection(SequenceHandle):
         super().__init__(alphabet)
         self._seq = seq
         self._k = k
-
-    def _at(self, i):
-        return self._seq.at(i)[self._k]
 
     def _read_symbols(self, i, j):
         return tuple(map(itemgetter(self._k), self._seq._read_symbols(i, j)))
@@ -379,9 +335,6 @@ class _Periodic(SequenceHandle):
         super().__init__(w.alphabet, f"periodic:{w.text()}")
         self._syms = w.symbols
 
-    def _at(self, i):
-        return self._syms[i % len(self._syms)]
-
     def _read_symbols(self, i, j):
         syms = self._syms
         q, n = i % len(syms), j - i + 1
@@ -402,10 +355,6 @@ class _Prepend(SequenceHandle):
         super().__init__(seq.alphabet, f"prepend:{w.text()}:{seq.description}")
         self._head = w.symbols
         self._seq = seq
-
-    def _at(self, i):
-        k = len(self._head)
-        return self._head[i] if i < k else self._seq.at(i - k)
 
     def _read_symbols(self, i, j):
         head = self._head
@@ -557,9 +506,6 @@ class _FixedPoint(SequenceHandle):
             return tuple(text)
         return tuple(map(self._stand_ins.__getitem__, text))
 
-    def _at(self, i):
-        return self._decode[self._label(i)]
-
     def _read_symbols(self, i, j):
         pieces = []
         self._pieces(i, j + 1, pieces)
@@ -649,10 +595,6 @@ class _QuintupleConcat(SequenceHandle):
         if n == len(self._bounds) - 1:
             raise ResourceLimitError(f"index {i} exceeds ceiling {DEFAULT_CEILING}")
         return n
-
-    def _at(self, i):
-        n = self._level_for(i)
-        return self._limit.at((i - self._bounds[n]) % 5 ** n)
 
     def _read_symbols(self, i, j):
         bounds = self._bounds

@@ -289,6 +289,10 @@ def test_foreign_input_symbols_are_named():
                                       ap.identity_plus(3)), "automaton"),
         (lambda: transducer_run(Transducer(BIN, BIN, ("q",), "q", identity), seq),
          "transducer"),
+        (lambda: hom_apply(Homomorphism(BIN, BIN, {"0": ("1",), "1": ()}), seq),
+         "homomorphism"),
+        (lambda: hom_apply(Homomorphism(BIN, BIN, {"0": ("1",), "1": ()}), seq,
+                           ap.identity_plus(3)), "homomorphism"),
     ]
     for call, noun in calls:
         with pytest.raises(ap.AlphabetError) as exc:
@@ -496,6 +500,28 @@ def test_run_over_finite_stream_ends_where_the_input_ends():
     assert read(out, 0, 99).text() == "1001" * 25
     assert produced_at(out, 100) == 100
     assert produced_at(out, 5000) == 100
+
+
+@pytest.mark.parametrize("make, letters", [
+    (lambda: prepend("01", finite_stream("0110" * 25)), "10" + "1001" * 25),
+    (lambda: finite_stream("0110" * 25).suffix(3), ("1001" * 25)[3:]),
+    (lambda: ap.projections(product(finite_stream("0110" * 25), thue_morse()))[0],
+     "1001" * 25),
+    # a pair exists only where both sides do, so the infinite side ends too
+    (lambda: ap.projections(product(finite_stream("0110" * 25), thue_morse()))[1],
+     ap.complement(read(thue_morse(), 0, 99)).text()),
+], ids=["prepend", "suffix", "projection-finite", "projection-infinite"])
+def test_run_over_a_composite_ends_where_its_stream_ends(make, letters):
+    out = run(swap_automaton(), make())
+    assert read(out, 0, len(letters) - 1).text() == letters
+    # the inner stream's error, with the inner count, at the composite's end
+    errors = []
+    for i in (len(letters), len(letters), 5000):
+        with pytest.raises(ap.FiniteOutputError) as exc:
+            out.at(i)
+        errors.append(exc.value)
+    assert [e.produced for e in errors] == [100, 100, 100]
+    assert errors[0] is errors[1] is errors[2]
 
 
 def test_hom_apply_over_finite_stream_reports_the_input_end():

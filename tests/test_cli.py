@@ -283,6 +283,21 @@ def test_negative_identity_offset_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gen", "--spec", "tm", "--count", "8"],
+    ["run", "--auto", "unread.aut", "--spec", "tm"],
+    ["decompose", "--trans", "unread.trans"],
+])
+def test_json_is_refused_where_no_json_report_exists(capsys, argv):
+    # these commands print words or machine files, never a JSON report
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --json" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["gen", "--spec", "tm"],
     ["run", "--auto", "unread.aut", "--spec", "tm"],
     ["split", "--spec", "tm", "--marker", "0", "--reg", "id+c:3"],

@@ -1,4 +1,5 @@
-"""Range reads agree with per-letter reads for every sequence construction."""
+"""Range reads agree with each other, and with per-letter reference
+definitions, for every sequence construction."""
 
 import random
 from bisect import bisect_right
@@ -111,7 +112,8 @@ def test_quintuple_level_starts_are_precomputed():
 
 
 # ---------------------------------------------------------------------------
-# Per-letter reference definitions of the substitution fixed points
+# Per-letter reference definitions of the substitution fixed points and of
+# the constructions over them
 
 
 def _tm_reference(i):
@@ -166,6 +168,32 @@ def _scheme_case(text):
     return make
 
 
+def _prepended(head, reference):
+    """head, then the referenced word."""
+    return lambda i: head[i] if i < len(head) else reference(i - len(head))
+
+
+def _shifted(n, reference):
+    """The referenced word from letter n on."""
+    return lambda i: reference(n + i)
+
+
+def _tm_triple_reference(n):
+    """The first 2^n letters of Thue-Morse three times, then Thue-Morse."""
+    block = "".join(map(_tm_reference, range(2 ** n)))
+    return _prepended(block * 3, _tm_reference)
+
+
+def _projection_case(k):
+    """Coordinate k of thm21 paired with the period 012."""
+    coordinates = (_pasted_reference((4,)), lambda i: "012"[i % 3])
+
+    def make(_):
+        return projections(make_sequence("product:thm21,periodic:012"))[k], coordinates[k]
+
+    return make
+
+
 def _pasted_edges(tau):
     """Level starts, and the 3125-letter stretch edges inside levels 5, 6."""
     starts = [0] + _level_starts(tau)
@@ -184,6 +212,24 @@ REFERENCE_CASES = {
                     _pasted_edges((4, 5))),
     "scheme-quint": (_scheme_case(QUINT_SCHEME), [t * 3125 for t in (1, 2, 6, 25)]),
     "scheme-tri": (_scheme_case(TRI_SCHEME), [t * 2187 for t in (1, 2, 3, 9, 10)]),
+    "periodic": (lambda _: (make_sequence("periodic:01101"), lambda i: "01101"[i % 5]),
+                 [5, 4096, 4100, 12290]),
+    "prepend": (lambda _: (make_sequence("prepend:0110:tm"),
+                           _prepended("0110", _tm_reference)),
+                [4, 4100, 8196, 16388]),
+    "suffix": (lambda _: (make_sequence("suffix:4093:tm"), _shifted(4093, _tm_reference)),
+               [3, 4099, 8195, 20483]),
+    "suffix-of-suffix": (lambda _: (make_sequence("suffix:7:suffix:3:thm21"),
+                                    _shifted(10, _pasted_reference((4,)))),
+                         [e - 10 for e in _pasted_edges((4,)) if e > 10]),
+    "product": (lambda _: (make_sequence("product:tm,periodic:ab"),
+                           lambda i: (_tm_reference(i), "ab"[i % 2])),
+                [4096, 8192, 12288]),
+    "projection-first": (_projection_case(0), _pasted_edges((4,))),
+    "projection-second": (_projection_case(1), [3, 4096, 12288]),
+    "fixture:tm-triple": (lambda _: (make_sequence("fixture:tm-triple:2"),
+                                     _tm_triple_reference(2)),
+                          [12, 4108, 8204]),
 }
 
 

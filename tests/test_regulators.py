@@ -6,7 +6,6 @@ import apwords as ap
 from apwords import (
     Regulator,
     identity_plus,
-    is_monotone_sampled,
     linear,
     load_table_regulator,
     parse_regulator,
@@ -88,9 +87,9 @@ def test_monotonicity_sampled():
         pointwise_max(identity_plus(1), linear(2, 0)),
         scaled(identity_plus(1), 4),
     ]:
-        assert is_monotone_sampled(r)
-        for n in range(1, 65):
-            assert r(n) >= n
+        values = [r(n) for n in range(1, 65)]
+        assert values == sorted(values), r
+        assert all(v >= n for n, v in enumerate(values, 1)), r
 
 
 def test_pointwise_max_and_scaled():
