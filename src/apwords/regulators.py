@@ -160,28 +160,45 @@ def table_regulator(table, description="table"):
 
 
 def load_table_regulator(path):
-    """Table file: one ``n value`` pair per line; '#' comments allowed."""
+    """Table file: one ``n value`` pair per line; '#' comments allowed.  A
+    line that is not two integers, or a repeated n, names its path:line."""
     table = {}
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            n, v = line.split()
-            table[int(n)] = int(v)
+            try:
+                n, v = map(int, line.split())
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: expected two integers 'n value', got {line!r}"
+                ) from None
+            if n in table:
+                raise ValueError(f"{path}:{lineno}: repeated n = {n}")
+            table[n] = v
     return table_regulator(table, description=f"empirical:{path}")
+
+
+# descriptor kind -> (constructor, form); the form's values are integers
+_FORMULAS = {"id+c": (identity_plus, "id+c:<c>"), "lin": (linear, "lin:<a>:<b>")}
 
 
 def parse_regulator(text):
     """Textual regulator descriptors for the CLI."""
     if text == "thm21":
         return reg_thm21()
-    if text.startswith("id+c:"):
-        return identity_plus(int(text.split(":", 1)[1]))
-    if text.startswith("lin:"):
-        _, a, b = text.split(":")
-        return linear(int(a), int(b))
     if text.startswith("empirical:"):
         return load_table_regulator(text.split(":", 1)[1])
+    kind, _, values = text.partition(":")
+    if kind in _FORMULAS:
+        make, form = _FORMULAS[kind]
+        try:
+            numbers = [int(v) for v in values.split(":")]
+        except ValueError:
+            numbers = []
+        if len(numbers) != form.count(":"):
+            raise ValueError(
+                f"bad regulator descriptor {text!r}: expected {form} with integer values")
+        return make(*numbers)
     raise ValueError(f"unknown regulator descriptor {text!r}")
-

@@ -204,7 +204,8 @@ class _Suffix(SequenceHandle):
 
 
 class FuncSequence(SequenceHandle):
-    """Index-function sequence with chunked prefix memoization."""
+    """Index-function sequence with chunked prefix memoization; a read that
+    touches a chunk where fn raised calls fn index by index instead."""
 
     CHUNK = 4096
 
@@ -212,12 +213,17 @@ class FuncSequence(SequenceHandle):
         super().__init__(alphabet, description)
         self._fn = fn
         self._chunks = {}
+        self._failed = set()  # chunks where fn raised
 
     def _chunk(self, c):
         chunk = self._chunks.get(c)
         if chunk is None:
             base = c * self.CHUNK
-            chunk = tuple(map(self._fn, range(base, base + self.CHUNK)))
+            try:
+                chunk = tuple(map(self._fn, range(base, base + self.CHUNK)))
+            except Exception:
+                self._failed.add(c)
+                raise
             # idempotent fill: concurrent writers produce identical chunks
             self._chunks[c] = chunk
         return chunk
@@ -225,12 +231,17 @@ class FuncSequence(SequenceHandle):
     def _read_symbols(self, i, j):
         c, lo = divmod(i, self.CHUNK)
         last, hi = divmod(j, self.CHUNK)
-        if c == last:
-            return self._chunk(c)[lo:hi + 1]
-        parts = [self._chunk(c)[lo:]]
-        parts += map(self._chunk, range(c + 1, last))
-        parts.append(self._chunk(last)[:hi + 1])
-        return tuple(itertools.chain.from_iterable(parts))
+        if self._failed.isdisjoint(range(c, last + 1)):
+            try:
+                if c == last:
+                    return self._chunk(c)[lo:hi + 1]
+                parts = [self._chunk(c)[lo:]]
+                parts += map(self._chunk, range(c + 1, last))
+                parts.append(self._chunk(last)[:hi + 1])
+                return tuple(itertools.chain.from_iterable(parts))
+            except Exception:  # read index by index below, raising where fn does
+                pass
+        return tuple(map(self._fn, range(i, j + 1)))
 
 
 class StreamSequence(SequenceHandle):
@@ -778,58 +789,53 @@ def _expect(text, pos, ch):
 
 def _parse_int(text, pos):
     token, end = _take_token(text, pos)
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise SpecParseError(f"expected a number, got {token!r}", pos)
     return int(token), end
 
 
+def _parse_tau(text, pos):
+    digits, end = _take_token(text, pos)
+    if any(c not in "45" for c in digits):
+        raise SpecParseError("tau digits must be 4 or 5", pos)
+    return digits, end
+
+
 def _parse_node(text, pos):
+    """One construction: its name, then the arguments its _GRAMMAR entry
+    lists, each after ":" (after "," when it follows a sequence).  A string
+    in the list is a keyword that must appear as is and is not kept."""
     name, end = _take_token(text, pos)
-    if name == "tm":
-        return SpecNode("tm"), end
-    if name == "thm21":
-        return SpecNode("thm21"), end
-    if name == "periodic":
-        end = _expect(text, end, ":")
-        w, end = _take_token(text, end)
-        return SpecNode("periodic", (w,)), end
-    if name == "thm21tau":
-        end = _expect(text, end, ":")
-        digits, end = _take_token(text, end)
-        if any(c not in "45" for c in digits):
-            raise SpecParseError("tau digits must be 4 or 5", end - len(digits))
-        return SpecNode("thm21tau", (digits,)), end
-    if name == "prepend":
-        end = _expect(text, end, ":")
-        w, end = _take_token(text, end)
-        end = _expect(text, end, ":")
-        child, end = _parse_node(text, end)
-        return SpecNode("prepend", (w,), (child,)), end
-    if name == "suffix":
-        end = _expect(text, end, ":")
-        n, end = _parse_int(text, end)
-        end = _expect(text, end, ":")
-        child, end = _parse_node(text, end)
-        return SpecNode("suffix", (n,), (child,)), end
-    if name == "product":
-        end = _expect(text, end, ":")
-        left, end = _parse_node(text, end)
-        end = _expect(text, end, ",")
-        right, end = _parse_node(text, end)
-        return SpecNode("product", (), (left, right)), end
-    if name == "scheme":
-        end = _expect(text, end, ":")
-        path, end = _take_token(text, end, stop=",")
-        return SpecNode("scheme", (path,)), end
-    if name == "fixture":
-        end = _expect(text, end, ":")
-        family, end = _take_token(text, end)
-        if family != "tm-triple":
-            raise SpecParseError(f"unknown fixture family {family!r}", end - len(family))
-        end = _expect(text, end, ":")
-        n, end = _parse_int(text, end)
-        return SpecNode("fixture", (n,)), end
-    raise SpecParseError(f"unknown construction {name!r}", pos)
+    if name not in _GRAMMAR:
+        raise SpecParseError(f"unknown construction {name!r}", pos)
+    args, children, sep = [], [], ":"
+    for parse in _GRAMMAR[name][0]:
+        end = _expect(text, end, sep)
+        if isinstance(parse, str):
+            token, end = _take_token(text, end)
+            if token != parse:
+                raise SpecParseError(f"unknown {name} family {token!r}", end - len(token))
+            continue
+        value, end = parse(text, end)
+        (children if parse is _parse_node else args).append(value)
+        sep = "," if parse is _parse_node else ":"
+    return SpecNode(name, tuple(args), tuple(children)), end
+
+
+# name -> (argument parsers in order, builder); _parse_node parses a
+# sequence, and the builder takes the other arguments, then the sequences.
+_GRAMMAR = {
+    "tm": ((), thue_morse),
+    "thm21": ((), thm21),
+    "thm21tau": ((_parse_tau,), lambda digits: thm21_tau(tuple(map(int, digits)))),
+    "periodic": ((_take_token,), periodic),
+    "prepend": ((_take_token, _parse_node), prepend),
+    "suffix": ((_parse_int, _parse_node), lambda n, seq: seq.suffix(n)),
+    "product": ((_parse_node, _parse_node), product),
+    "scheme": ((lambda text, pos: _take_token(text, pos, stop=","),),
+               lambda path: scheme_generate(parse_scheme_file(path))),
+    "fixture": (("tm-triple", _parse_int), tm_triple_fixture),
+}
 
 
 def parse_spec(text):
@@ -842,25 +848,10 @@ def parse_spec(text):
 
 def build_sequence(node):
     """Materialize a SequenceHandle from a parsed construction tree."""
-    if node.kind == "tm":
-        return thue_morse()
-    if node.kind == "thm21":
-        return thm21()
-    if node.kind == "periodic":
-        return periodic(node.args[0])
-    if node.kind == "thm21tau":
-        return thm21_tau(tuple(int(c) for c in node.args[0]))
-    if node.kind == "prepend":
-        return prepend(node.args[0], build_sequence(node.children[0]))
-    if node.kind == "suffix":
-        return build_sequence(node.children[0]).suffix(node.args[0])
-    if node.kind == "product":
-        return product(*(build_sequence(c) for c in node.children))
-    if node.kind == "scheme":
-        return scheme_generate(parse_scheme_file(node.args[0]))
-    if node.kind == "fixture":
-        return tm_triple_fixture(node.args[0])
-    raise ValueError(f"unknown node kind {node.kind!r}")
+    if node.kind not in _GRAMMAR:
+        raise ValueError(f"unknown node kind {node.kind!r}")
+    build = _GRAMMAR[node.kind][1]
+    return build(*node.args, *map(build_sequence, node.children))
 
 
 def make_sequence(spec):

@@ -564,6 +564,24 @@ def test_split_raises_only_at_the_offending_block():
             sr.split_sequence.at(499)
 
 
+def test_run_over_a_failing_index_function_stops_at_the_failure():
+    calls = []
+
+    def fn(i):
+        calls.append(i)
+        if i >= 5000:
+            raise ZeroDivisionError(i)
+        return "01"[i % 2]
+
+    out = run(swap_automaton(), ap.FuncSequence(BIN, fn, "fails from 5000"))
+    assert read(out, 0, 4999).text() == "10" * 2500
+    with pytest.raises(ZeroDivisionError):
+        out.at(5000)
+    # the letter-by-letter reads after the failed range read do not refill
+    # the failing chunk once per letter
+    assert len(calls) < 2 * ap.FuncSequence.CHUNK
+
+
 def test_split_probe_window_stops_at_its_letter_cap():
     # the probe sees only "0001" in its 32 letters, so the closure scan is
     # sized for blocks of 4 and fits the cap; it then meets a 40-letter block

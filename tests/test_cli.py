@@ -1,10 +1,13 @@
 """CLI commands, report formats, and the exit-status contract."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from apwords import cli
+from apwords import cli, words
 
 
 def run_cli(capsys, argv):
@@ -98,6 +101,22 @@ def test_bad_empirical_table_exit_2(capsys, tmp_path):
          "--horizon", "1024", "--nmax", "3"],
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 3\n2\n", ":2: expected two integers 'n value', got '2'"),
+    ("1 3\n# no entry\n2 x\n", ":3: expected two integers 'n value', got '2 x'"),
+    ("1 3 5\n", ":1: expected two integers 'n value', got '1 3 5'"),
+    ("1 3\n1 5\n", ":2: repeated n = 1"),
+])
+def test_bad_empirical_table_line_exit_2(capsys, tmp_path, text, message):
+    reg = tmp_path / "bad.reg"
+    reg.write_text(text)
+    assert cli.main(["check-regulator", "--spec", "tm", "--reg", f"empirical:{reg}",
+                     "--horizon", "64", "--nmax", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reg}{message}\n"
 
 
 def test_check_regulator_pass(capsys):
@@ -337,3 +356,57 @@ def test_scheme_file_error_location_exit_2(capsys, tmp_path, text, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {sch}{message}\n"
+
+
+TM_SCHEME = "labels A B\nstart A\nrule A A B\nrule B B A\ndecode A 0\ndecode B 1\n"
+TM_SCHEME_PAIRS = ("pair 'A''A' not adjacent in image of 'A'",
+                   "pair 'B''A' not adjacent in image of 'A'",
+                   "pair 'B''B' not adjacent in image of 'A'",
+                   "pair 'A''A' not adjacent in image of 'B'",
+                   "pair 'A''B' not adjacent in image of 'B'",
+                   "pair 'B''B' not adjacent in image of 'B'")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["split", "--spec", "tm", "--marker", "0", "--reg", "id+c:3", "--count", "5"],
+     0, "offset\t1\nmax_block_len\t3\nblock\tb0\t110\nblock\tb1\t10\n"
+        "block\tb2\t0\nprefix\t(110)(10)(0)(110)(0)\n"),
+    (["empirical-regulator", "--spec", "tm", "--horizon", "1024", "--nmax", "4"],
+     0, "1\t3\n2\t9\n3\t11\n4\t21\n"),
+    (["pr-estimate", "--spec", "tm", "--horizon", "1024", "--nmax", "4", "--json"],
+     0, '{"estimate": 0, "horizon": 1024, "n_max": 4, "note": "upper estimate at '
+        'horizon, not pr itself", "op": "pr-estimate", "spec": "tm"}\n'),
+    (["pr-estimate", "--spec", "thm21", "--horizon", "625", "--nmax", "6"],
+     0, "pr-estimate\t2\n"),
+    (["cube-check", "--spec", "periodic:01", "--count", "64", "--json"],
+     1, '{"counterexample": {"factor": "01", "window_len": 6, "window_start": 0}, '
+        '"failure_count": 1, "horizon": 64, "n_max": 0, "note": "", '
+        '"op": "cube-check", "spec": "periodic:01", "status": "fail"}\n'),
+    (["scheme-validate", "--scheme", "tm.scheme", "--strengthened"],
+     1, "basic\tpass\nstrengthened\tfail\n"
+        + "".join(f"failure\t{f}\n" for f in TM_SCHEME_PAIRS)),
+    (["scheme-validate", "--scheme", "tm.scheme", "--strengthened", "--json"],
+     1, '{"basic_ok": true, "failures": ['
+        + ", ".join(f'"{f}"' for f in TM_SCHEME_PAIRS)
+        + '], "op": "scheme-validate", "scheme": "tm.scheme", '
+          '"strengthened_ok": false}\n'),
+])
+def test_report_exact_output(capsys, tmp_path, monkeypatch, argv, code, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tm.scheme").write_text(TM_SCHEME)
+    assert run_cli(capsys, argv) == (code, out)
+
+
+def _readme_block(heading):
+    """The first fenced block after a README heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(heading + "\n", 1)[1].split("```")[1]
+
+
+def test_readme_lists_every_construction_and_subcommand():
+    grammar = _readme_block("### Sequence-spec mini-language")
+    assert set(re.findall(r'"([a-z0-9]+)[:"]', grammar)) == set(words._GRAMMAR)
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    commands = _readme_block("## CLI")
+    assert set(re.findall(r"^apwords (\S+)", commands, re.M)) == set(subparsers.choices)

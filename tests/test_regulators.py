@@ -165,6 +165,17 @@ def test_parse_regulator_descriptors():
             parse_regulator(bad)
 
 
+@pytest.mark.parametrize("text, form", [
+    ("lin:1", "lin:<a>:<b>"), ("lin:1:2:3", "lin:<a>:<b>"), ("lin:1:x", "lin:<a>:<b>"),
+    ("id+c:x", "id+c:<c>"), ("id+c:", "id+c:<c>"), ("id+c:1:2", "id+c:<c>"),
+])
+def test_parse_regulator_names_the_bad_descriptor(text, form):
+    with pytest.raises(ValueError) as exc:
+        parse_regulator(text)
+    assert str(exc.value) == (
+        f"bad regulator descriptor {text!r}: expected {form} with integer values")
+
+
 def test_table_regulator(tmp_path):
     r = table_regulator({1: 3, 2: 9})
     assert r(1) == 3 and r(2) == 9

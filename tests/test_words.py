@@ -6,6 +6,7 @@ import apwords as ap
 from apwords import (
     Alphabet,
     SchemeSpec,
+    SpecNode,
     SpecParseError,
     TauSpec,
     complement,
@@ -357,10 +358,45 @@ def test_parse_spec_tree():
     assert [c.kind for c in node.children] == ["tm", "periodic"]
 
 
+@pytest.mark.parametrize("spec, tree", [
+    ("tm", SpecNode("tm")),
+    ("thm21", SpecNode("thm21")),
+    ("thm21tau:455", SpecNode("thm21tau", ("455",))),
+    ("periodic:012", SpecNode("periodic", ("012",))),
+    ("prepend:01:tm", SpecNode("prepend", ("01",), (SpecNode("tm"),))),
+    ("suffix:12:thm21", SpecNode("suffix", (12,), (SpecNode("thm21"),))),
+    ("product:tm,periodic:01",
+     SpecNode("product", (), (SpecNode("tm"), SpecNode("periodic", ("01",))))),
+    ("scheme:C:/dir/x.scheme", SpecNode("scheme", ("C:/dir/x.scheme",))),
+    ("fixture:tm-triple:3", SpecNode("fixture", (3,))),
+    ("suffix:3:prepend:1:product:suffix:2:tm,prepend:0:periodic:10",
+     SpecNode("suffix", (3,), (SpecNode("prepend", ("1",), (SpecNode("product", (), (
+         SpecNode("suffix", (2,), (SpecNode("tm"),)),
+         SpecNode("prepend", ("0",), (SpecNode("periodic", ("10",)),)),
+     )),)),))),
+    ("product:product:tm,thm21,scheme:a:b",
+     SpecNode("product", (), (
+         SpecNode("product", (), (SpecNode("tm"), SpecNode("thm21"))),
+         SpecNode("scheme", ("a:b",)),
+     ))),
+])
+def test_parse_spec_whole_trees(spec, tree):
+    assert parse_spec(spec) == tree
+
+
 def test_parse_spec_error_position():
     with pytest.raises(SpecParseError) as exc:
         parse_spec("suffix:x:tm")
     assert exc.value.position == 7
+
+
+@pytest.mark.parametrize("spec, position", [
+    ("suffix:\u0663:tm", 7), ("suffix:\u00b2:tm", 7), ("fixture:tm-triple:\u0663", 18),
+])
+def test_parse_spec_numbers_are_ascii_digits(spec, position):
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec(spec)
+    assert exc.value.position == position
 
 
 def test_parse_spec_tau_pattern():
@@ -374,6 +410,23 @@ def test_make_sequence_rejects_garbage():
     for bad in ["", "nope", "suffix:tm", "product:tm", "periodic:", "thm21tau:46"]:
         with pytest.raises((SpecParseError, ValueError)):
             make_sequence(bad)
+
+
+def test_func_sequence_raises_only_where_a_read_reaches_a_failing_index():
+    def fn(i):
+        if i == 5000:
+            raise ZeroDivisionError(i)
+        return "01"[i % 2]
+
+    seq = ap.FuncSequence(ap.BINARY, fn, "fails at 5000")
+    for _ in range(2):
+        assert read(seq, 5001, 5002).text() == "10"
+        assert read(seq, 4098, 4999).text() == "01" * 451
+        with pytest.raises(ZeroDivisionError):
+            read(seq, 4990, 5010)
+        with pytest.raises(ZeroDivisionError):
+            seq.at(5000)
+    assert read(seq, 0, 3).text() + read(seq, 8192, 8193).text() == "010101"
 
 
 def test_alphabet_invariants():
