@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import compress, count, islice, pairwise, starmap, takewhile
 from operator import eq, itemgetter, sub
 
 from .errors import ResourceLimitError
 from .regulators import Regulator
-from .words import Word
+from .words import Word, _Record
 
 # Symbols are mapped to private-use-area characters so factor scans can use
 # native string slicing and find().
@@ -46,23 +45,25 @@ def _text_word(text, alphabet):
     return Word(alphabet, tuple(alphabet.symbols[ord(c) - _PUA] for c in text))
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     """A factor and a window in which re-scanning confirms it is absent."""
 
-    factor: Word
-    window_start: int
-    window_len: int
+    __slots__ = ("factor", "window_start", "window_len")
+
+    def __init__(self, factor, window_start, window_len):
+        self._set(factor, window_start, window_len)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str  # "pass" | "fail" | "inconclusive"
-    horizon: int
-    counterexample: Counterexample = None
-    failures: tuple = ()  # (n, Counterexample) pairs, capped
-    failure_count: int = 0
-    note: str = ""
+class Verdict(_Record):
+    """status: "pass" | "fail" | "inconclusive"; failures: (n,
+    Counterexample) pairs, capped."""
+
+    __slots__ = ("status", "horizon", "counterexample", "failures",
+                 "failure_count", "note")
+
+    def __init__(self, status, horizon, counterexample=None, failures=(),
+                 failure_count=0, note=""):
+        self._set(status, horizon, counterexample, failures, failure_count, note)
 
     @property
     def passed(self):

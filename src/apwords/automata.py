@@ -5,7 +5,6 @@ deleted-prefix bound."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     AlphabetError,
@@ -14,7 +13,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .regulators import reg_iterated_bound, reg_split
-from .words import Alphabet, StreamSequence, Word, word
+from .words import Alphabet, StreamSequence, Word, _Record, word
 
 # Inputs consumed without any output before a lazily-finite image is declared
 # exhausted.
@@ -205,15 +204,18 @@ def cyclic_automaton(w, input_alphabet):
 # Marker splits
 
 
-@dataclass
-class SplitResult:
-    marker: object
-    block_alphabet: Alphabet
-    decode: dict  # block symbol -> Word over the original alphabet
-    offset: int  # first position after the first marker occurrence
-    split_sequence: object  # SequenceHandle over block_alphabet
-    max_block_len: int
-    original: object  # the handle that was split
+class SplitResult(_Record, frozen=False):
+    """decode: block symbol -> Word over the original alphabet; offset: the
+    first position after the first marker occurrence; split_sequence: the
+    SequenceHandle over block_alphabet; original: the handle that was split."""
+
+    __slots__ = ("marker", "block_alphabet", "decode", "offset",
+                 "split_sequence", "max_block_len", "original")
+
+    def __init__(self, marker, block_alphabet, decode, offset, split_sequence,
+                 max_block_len, original):
+        self._set(marker, block_alphabet, decode, offset, split_sequence,
+                  max_block_len, original)
 
 
 def _cut_blocks(letters, marker, tail):
@@ -356,21 +358,21 @@ def block_automaton(auto, sr):
     )
 
 
-@dataclass
-class ReductionStep:
-    letter: object
-    image: tuple  # successor states of the chosen letter
-    split_result: SplitResult
-    automaton: Automaton
-    deleted_letters: int  # in original-alphabet letters
+class ReductionStep(_Record, frozen=False):
+    """image: the successor states of the chosen letter; deleted_letters: in
+    original-alphabet letters."""
+
+    __slots__ = ("letter", "image", "split_result", "automaton", "deleted_letters")
+
+    def __init__(self, letter, image, split_result, automaton, deleted_letters):
+        self._set(letter, image, split_result, automaton, deleted_letters)
 
 
-@dataclass
-class ReductionReport:
-    steps: list
-    final_automaton: Automaton
-    deleted_prefix_len: int
-    theorem_bound: int
+class ReductionReport(_Record, frozen=False):
+    __slots__ = ("steps", "final_automaton", "deleted_prefix_len", "theorem_bound")
+
+    def __init__(self, steps, final_automaton, deleted_prefix_len, theorem_bound):
+        self._set(steps, final_automaton, deleted_prefix_len, theorem_bound)
 
     @property
     def state_counts(self):

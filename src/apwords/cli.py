@@ -2,15 +2,17 @@
 
 Exit statuses: 0 pass/success, 1 fail verdict, 2 usage or parse error,
 3 resource limit or inconclusive verdict.
+
+Each handler imports the modules it calls when it runs, and ``json`` is
+imported only for ``--json``: a batch of short runs pays mostly for start-up,
+so a process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import analysis, automata, regulators, words
 from .errors import ApwordsError, ResourceLimitError, SpecParseError
 
 DEFAULT_HORIZON = 2 ** 14
@@ -24,6 +26,8 @@ EXIT_RESOURCE = 3
 
 def _positive_int(text):
     try:
+        if not text.isascii():  # int() also reads other scripts' digits
+            raise ValueError(text)
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
@@ -33,6 +37,7 @@ def _positive_int(text):
 
 
 def _verdict(op, spec, n_max, verdict):
+    from . import analysis
     fields = analysis.verdict_fields(op, spec, n_max, verdict)
     code = {"pass": EXIT_PASS, "fail": EXIT_FAIL}.get(verdict.status, EXIT_RESOURCE)
     return fields, analysis.verdict_tsv(fields), code
@@ -44,10 +49,12 @@ def _prefix_text(seq, count):
 
 
 def _gen(args):
+    from . import words
     return None, _prefix_text(words.make_sequence(args.spec), args.count), EXIT_PASS
 
 
 def _run(args):
+    from . import automata, words
     auto = automata.load_automaton(args.auto)
     seq = words.make_sequence(args.spec)
     out = automata.run(auto, seq, with_states=args.with_states)
@@ -55,6 +62,7 @@ def _run(args):
 
 
 def _split(args):
+    from . import automata, regulators, words
     seq = words.make_sequence(args.spec)
     reg = regulators.parse_regulator(args.reg)
     sr = automata.split(seq, args.marker, reg)
@@ -75,6 +83,7 @@ def _split(args):
 
 
 def _reduce(args):
+    from . import automata, regulators, words
     auto = automata.load_automaton(args.auto)
     seq = words.make_sequence(args.spec)
     reg = regulators.parse_regulator(args.reg)
@@ -93,6 +102,7 @@ def _reduce(args):
 
 
 def _check_regulator(args):
+    from . import analysis, regulators, words
     seq = words.make_sequence(args.spec)
     reg = regulators.parse_regulator(args.reg)
     v = analysis.check_regulator(seq, reg, args.horizon, args.nmax)
@@ -100,12 +110,14 @@ def _check_regulator(args):
 
 
 def _check_sap(args):
+    from . import analysis, words
     seq = words.make_sequence(args.spec)
     v = analysis.check_sap(seq, args.horizon, args.nmax)
     return _verdict("check-sap", args.spec, args.nmax, v)
 
 
 def _empirical_regulator(args):
+    from . import analysis, words
     seq = words.make_sequence(args.spec)
     table = analysis.empirical_regulator(seq, args.horizon, args.nmax).table
     payload = {
@@ -116,7 +128,10 @@ def _empirical_regulator(args):
 
 
 def _pr_estimate(args):
+    from . import analysis, words
     seq = words.make_sequence(args.spec)
+    if args.horizon < args.nmax:  # no cut to judge; empirical-regulator's message
+        raise ValueError("need horizon >= n_max >= 1")
     est = analysis.pr_upper_estimate(seq, args.horizon, args.nmax)
     payload = {
         "op": "pr-estimate", "spec": args.spec, "horizon": args.horizon,
@@ -128,12 +143,14 @@ def _pr_estimate(args):
 
 
 def _cube_check(args):
+    from . import analysis, words
     seq = words.make_sequence(args.spec)
     v = analysis.is_cube_free(seq.read(0, args.count - 1))
     return _verdict("cube-check", args.spec, 0, v)
 
 
 def _scheme_validate(args):
+    from . import words
     spec = words.parse_scheme_file(args.scheme)
     verdict = words.scheme_validate(spec, strengthened=args.strengthened)
     payload = {
@@ -151,6 +168,7 @@ def _scheme_validate(args):
 
 
 def _decompose(args):
+    from . import automata
     auto, hom = automata.transducer_decompose(automata.load_transducer(args.trans))
     text = ("# state-tracing automaton\n" + automata.automaton_text(auto)
             + "# homomorphism\n" + automata.homomorphism_text(hom))
@@ -236,7 +254,10 @@ def dispatch(args):
     """Run the subcommand's handler, args -> (JSON payload or None, text
     report, exit status), and print the report that --json asks for."""
     payload, text, code = args.handler(args)
-    _emit(args, json.dumps(payload, sort_keys=True) if args.json else text)
+    if args.json:
+        import json
+        text = json.dumps(payload, sort_keys=True)
+    _emit(args, text)
     return code
 
 

@@ -159,6 +159,13 @@ def table_regulator(table, description="table"):
     return Regulator(fn, "empirical-lower-bound", description)
 
 
+def _ascii_int(text):
+    """int() of text in ASCII only (int() also reads other scripts' digits)."""
+    if not text.isascii():
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def load_table_regulator(path):
     """Table file: one ``n value`` pair per line; '#' comments allowed.  A
     line that is not two integers, or a repeated n, names its path:line."""
@@ -169,7 +176,7 @@ def load_table_regulator(path):
             if not line:
                 continue
             try:
-                n, v = map(int, line.split())
+                n, v = map(_ascii_int, line.split())
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: expected two integers 'n value', got {line!r}"
@@ -194,7 +201,7 @@ def parse_regulator(text):
     if kind in _FORMULAS:
         make, form = _FORMULAS[kind]
         try:
-            numbers = [int(v) for v in values.split(":")]
+            numbers = [_ascii_int(v) for v in values.split(":")]
         except ValueError:
             numbers = []
         if len(numbers) != form.count(":"):

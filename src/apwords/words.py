@@ -12,7 +12,6 @@ import bisect
 import copy
 import itertools
 import threading
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import (
@@ -26,6 +25,51 @@ from .regulators import DEFAULT_CEILING
 
 # Finite blocks larger than this are refused rather than materialized.
 MAX_BLOCK_SYMBOLS = 2 ** 25
+
+
+class _Record:
+    """Base of the package's records.  A subclass names its fields in
+    ``__slots__`` (the order of its constructor, repr and comparison) and
+    sets them with ``_set``.  Records compare equal to records of the same
+    class whose fields in ``_compare`` (default: all) are equal.  They are
+    frozen and hashable unless declared with ``frozen=False``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen=True):
+        super().__init_subclass__()
+        cls._compare = cls.__dict__.get("_compare", cls.__slots__)
+        if not frozen:
+            cls.__hash__ = None
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._compare)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Alphabet:
@@ -389,8 +433,7 @@ def prepend(w, seq):
 # Uniform substitutions
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
+class SchemeSpec(_Record):
     """Uniform substitution with a self-prefixing start label.
 
     Structural requirements (checked here): all images have the same length
@@ -399,13 +442,12 @@ class SchemeSpec:
     label in every image; adjacent pairs) are checked by scheme_validate.
     """
 
-    labels: Alphabet
-    rules: dict = field(compare=False)
-    decode: dict = field(compare=False)
-    start: object = None
+    __slots__ = ("labels", "rules", "decode", "start")
+    _compare = ("labels", "start")
 
-    def __post_init__(self):
-        fault = _scheme_fault(self.labels, self.rules, self.decode, self.start)
+    def __init__(self, labels, rules, decode, start=None):
+        self._set(labels, rules, decode, start)
+        fault = _scheme_fault(labels, rules, decode, start)
         if fault:
             raise SchemeError(fault[1])
 
@@ -567,16 +609,16 @@ def quintuple_limit():
     return copy.copy(_QUINTUPLE)
 
 
-@dataclass(frozen=True)
-class TauSpec:
+class TauSpec(_Record):
     """Eventually-periodic repetition counts in {4,5} (the pattern repeats)."""
 
-    pattern: tuple
+    __slots__ = ("pattern",)
 
-    def __post_init__(self):
-        if not self.pattern:
+    def __init__(self, pattern):
+        self._set(pattern)
+        if not pattern:
             raise ValueError("tau pattern must be non-empty")
-        if any(v not in (4, 5) for v in self.pattern):
+        if any(v not in (4, 5) for v in pattern):
             raise ValueError("tau values must be in {4, 5}")
 
     def count(self, n):
@@ -645,11 +687,13 @@ def tm_triple_fixture(n):
 # Scheme recurrence conditions and scheme files
 
 
-@dataclass(frozen=True)
-class SchemeVerdict:
-    basic_ok: bool
-    strengthened_ok: object  # bool, or None when not requested
-    failures: tuple
+class SchemeVerdict(_Record):
+    """strengthened_ok: bool, or None when not requested."""
+
+    __slots__ = ("basic_ok", "strengthened_ok", "failures")
+
+    def __init__(self, basic_ok, strengthened_ok, failures):
+        self._set(basic_ok, strengthened_ok, failures)
 
     @property
     def ok(self):
@@ -763,13 +807,13 @@ def parse_scheme_file(path):
 # Sequence-spec mini-language
 
 
-@dataclass(frozen=True)
-class SpecNode:
+class SpecNode(_Record):
     """Parsed node of the sequence-spec mini-language."""
 
-    kind: str
-    args: tuple = ()
-    children: tuple = ()
+    __slots__ = ("kind", "args", "children")
+
+    def __init__(self, kind, args=(), children=()):
+        self._set(kind, args, children)
 
 
 def _take_token(text, pos, stop=":,"):

@@ -1,12 +1,17 @@
 """CLI commands, report formats, and the exit-status contract."""
 
 import argparse
+import ast
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import apwords
 from apwords import cli, words
 
 
@@ -108,6 +113,7 @@ def test_bad_empirical_table_exit_2(capsys, tmp_path):
     ("1 3\n# no entry\n2 x\n", ":3: expected two integers 'n value', got '2 x'"),
     ("1 3 5\n", ":1: expected two integers 'n value', got '1 3 5'"),
     ("1 3\n1 5\n", ":2: repeated n = 1"),
+    ("1 \u0663\n", ":1: expected two integers 'n value', got '1 \u0663'"),
 ])
 def test_bad_empirical_table_line_exit_2(capsys, tmp_path, text, message):
     reg = tmp_path / "bad.reg"
@@ -293,6 +299,42 @@ def test_nonpositive_numbers_exit_2(capsys, flag, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--spec", "tm", "--count", "\u0663"],
+    ["check-sap", "--spec", "tm", "--nmax", "2", "--horizon", "\u0661\u0660\u0662\u0664"],
+    ["check-sap", "--spec", "tm", "--nmax", "\uff12"],
+    ["check-sap", "--spec", "tm", "--horizon", "not-a-number"],
+])
+def test_numbers_must_be_ascii_integers(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {argv[-2]}: invalid int value: "
+                                 f"{argv[-1]!r}\n")
+
+
+@pytest.mark.parametrize("reg, form", [("id+c:\u0663", "id+c:<c>"),
+                                       ("lin:1:\u0663", "lin:<a>:<b>")])
+def test_regulator_values_must_be_ascii_integers(capsys, reg, form):
+    assert cli.main(["check-regulator", "--spec", "tm", "--reg", reg,
+                     "--horizon", "64", "--nmax", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: bad regulator descriptor {reg!r}: "
+                            f"expected {form} with integer values\n")
+
+
+@pytest.mark.parametrize("command", ["pr-estimate", "empirical-regulator"])
+def test_horizon_below_nmax_exit_2(capsys, command):
+    # pr-estimate would judge no cut and report "none"
+    assert cli.main([command, "--spec", "tm", "--horizon", "2", "--nmax", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need horizon >= n_max >= 1\n"
+
+
 def test_negative_identity_offset_exit_2(capsys):
     for reg in ("id+c:-5", "lin:1:-5"):
         code, out = run_cli(capsys, ["check-regulator", "--spec", "tm",
@@ -410,3 +452,114 @@ def test_readme_lists_every_construction_and_subcommand():
                       if isinstance(a, argparse._SubParsersAction))
     commands = _readme_block("## CLI")
     assert set(re.findall(r"^apwords (\S+)", commands, re.M)) == set(subparsers.choices)
+
+
+# One CLI process per case, in a fresh interpreter: its exit status and every
+# module it loaded.
+PROBE = """import sys
+from apwords import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # argparse usage errors
+    code = exc.code
+print(repr((code, sorted(sys.modules))))
+"""
+TM_TRANS = "input: 0 1\noutput: 0 1\nstates: q\ninitial: q\nq 0 -> q -\nq 1 -> q 1 1\n"
+WORDS = {"words", "regulators"}  # words reads the regulator ceiling
+
+
+def _fresh(tmp_path, probe, *argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["gen", "--spec", "tm", "--count", "4"], 0, WORDS),
+    (["run", "--auto", "m.aut", "--spec", "tm", "--count", "4"], 0, WORDS | {"automata"}),
+    (["split", "--spec", "tm", "--marker", "0", "--reg", "id+c:3", "--json"], 0,
+     WORDS | {"automata"}),
+    (["reduce", "--auto", "m.aut", "--spec", "tm", "--reg", "id+c:3"], 0,
+     WORDS | {"automata"}),
+    (["check-regulator", "--spec", "tm", "--reg", "id+c:1", "--horizon", "256",
+      "--nmax", "4"], 1, WORDS | {"analysis"}),
+    (["check-sap", "--spec", "tm", "--horizon", "256", "--nmax", "4", "--json"], 0,
+     WORDS | {"analysis"}),
+    (["empirical-regulator", "--spec", "tm", "--horizon", "256", "--nmax", "4"], 0,
+     WORDS | {"analysis"}),
+    (["pr-estimate", "--spec", "tm", "--horizon", "256", "--nmax", "4"], 0,
+     WORDS | {"analysis"}),
+    (["cube-check", "--spec", "tm", "--count", "64"], 0, WORDS | {"analysis"}),
+    (["scheme-validate", "--scheme", "tm.scheme"], 0, WORDS),
+    (["decompose", "--trans", "t.trans"], 0, WORDS | {"automata"}),
+    (["check-sap", "--spec", "tm", "--horizon", "not-a-number"], 2, set()),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, code, loaded):
+    (tmp_path / "m.aut").write_text(MERGE2_AUT)
+    (tmp_path / "tm.scheme").write_text(TM_SCHEME)
+    (tmp_path / "t.trans").write_text(TM_TRANS)
+    got, modules = _fresh(tmp_path, PROBE, *argv)
+    assert got == code
+    package = {m.partition(".")[2] for m in modules if m.startswith("apwords.")}
+    assert package == {"cli", "errors"} | loaded
+    assert "dataclasses" not in modules and "inspect" not in modules
+    assert ("json" in modules) == ("--json" in argv)
+
+
+# Every public name of the package; none may go missing.
+PUBLIC_NAMES = """
+Alphabet AlphabetError ApwordsError Automaton BINARY Counterexample
+EmpiricalRegulator FiniteOutputError FuncSequence Homomorphism
+InvariantViolation ReductionReport ReductionStep Regulator ResourceLimitError
+SchemeError SchemeSpec SequenceHandle SpecNode SpecParseError SplitResult
+StreamSequence TauSpec Transducer Verdict Word aligned_occurrences analysis
+automata automaton_text block_automaton check_regulator check_sap complement
+cyclic_automaton default_cut_grid empirical_regulator errors hom_apply
+homomorphism_text identity_plus infinite_letters is_cube_free is_reversible
+letter_images linear load_automaton load_homomorphism load_table_regulator
+load_transducer make_sequence occurrences parse_regulator parse_scheme_file
+parse_spec periodic periodic_regulator pointwise_max pr_upper_estimate prepend
+product projections quintuple_limit read reduce_to_reversible reg_iterated_bound
+reg_reversible_distance reg_split reg_thm21 regulators run scaled
+scheme_generate scheme_validate split table_regulator thm21 thm21_block
+thm21_tau thue_morse tm_block tm_triple_fixture transducer_decompose
+transducer_run verdict_fields verdict_tsv word words
+""".split()
+
+
+def test_importing_the_package_loads_only_errors(tmp_path):
+    probe = "import sys, apwords\nprint(repr(sorted(sys.modules)))"
+    modules = _fresh(tmp_path, probe)
+    assert [m for m in modules if m.startswith("apwords")] == ["apwords", "apwords.errors"]
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC_NAMES:
+        namespace = {}
+        exec(f"from apwords import {name}", namespace)
+        assert namespace[name] is getattr(apwords, name), name
+        assert name in dir(apwords), name
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from apwords import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        apwords.no_such_name
+    with pytest.raises(ImportError):
+        exec("from apwords import no_such_name", {})
+
+
+def test_lazy_names_are_not_cached(monkeypatch):
+    # a name patched in its module reads patched through the package, and
+    # restoring the module restores the package (what a tracer relies on)
+    first = apwords.thue_morse
+    assert apwords.thue_morse is first is words.thue_morse
+    assert "thue_morse" not in vars(apwords)
+    monkeypatch.setattr(words, "thue_morse", len)
+    assert apwords.thue_morse is len
+    monkeypatch.undo()
+    assert apwords.thue_morse is first
+    assert "thue_morse" not in vars(apwords)

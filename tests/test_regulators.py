@@ -138,6 +138,9 @@ def test_table_regulator_rejects_bad_tables(tmp_path):
     p.write_text("1 3\n2 9\n3 8\n")
     with pytest.raises(ValueError):
         load_table_regulator(str(p))
+    p.write_text("1 3\n2 \u0669\n")  # an Arabic-Indic 9
+    with pytest.raises(ValueError, match=f"{p}:2: expected two integers"):
+        load_table_regulator(str(p))
 
 
 def test_resource_ceiling():
@@ -168,6 +171,7 @@ def test_parse_regulator_descriptors():
 @pytest.mark.parametrize("text, form", [
     ("lin:1", "lin:<a>:<b>"), ("lin:1:2:3", "lin:<a>:<b>"), ("lin:1:x", "lin:<a>:<b>"),
     ("id+c:x", "id+c:<c>"), ("id+c:", "id+c:<c>"), ("id+c:1:2", "id+c:<c>"),
+    ("id+c:\u0663", "id+c:<c>"), ("lin:\uff12:5", "lin:<a>:<b>"),
 ])
 def test_parse_regulator_names_the_bad_descriptor(text, form):
     with pytest.raises(ValueError) as exc:
