@@ -381,8 +381,9 @@ def check_sap(seq, horizon, n_max, recur_fraction=0.5, gap_fraction=0.25,
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if horizon < n_max:
-        return Verdict("inconclusive", horizon, note="horizon smaller than n_max")
+    if horizon - n_max < horizon * recur_fraction:
+        return Verdict("inconclusive", horizon, note=f"no factor of length {n_max} "
+                       f"can start past the recur cut {horizon * recur_fraction:g}")
     index = FactorIndex(_seq_text(seq, 0, horizon - 1))
     fault = _sap_rule(horizon, recur_fraction, gap_fraction)
     failures = []

@@ -430,15 +430,17 @@ def prepend(w, seq):
 
 
 # ---------------------------------------------------------------------------
-# Uniform substitutions
+# Substitutions
 
 
 class SchemeSpec(_Record):
-    """Uniform substitution with a self-prefixing start label.
+    """Substitution with a start label, served by its fixed point.
 
-    Structural requirements (checked here): all images have the same length
-    k >= 2 over the label alphabet, decode is total, and the start label's
-    image begins with the start label.  The recurrence conditions (every
+    Structural requirements (checked here): every image has at least 2
+    labels, all from the label alphabet, decode is total, and following the
+    first labels of the images from the start label leads back to it (a
+    start label whose image begins with itself is the one-step case).
+    Images may have different lengths.  The recurrence conditions (every
     label in every image; adjacent pairs) are checked by scheme_validate.
     """
 
@@ -453,15 +455,11 @@ class SchemeSpec(_Record):
 
     @property
     def block_length(self):
+        """The length of the start label's image: k for a uniform scheme."""
         return len(self.rules[self.start])
 
     def base_alphabet(self):
-        seen = []
-        for lab in self.labels:
-            v = self.decode[lab]
-            if v not in seen:
-                seen.append(v)
-        return Alphabet(seen)
+        return Alphabet(dict.fromkeys(self.decode[lab] for lab in self.labels))
 
 
 def _scheme_fault(labels, rules, decode, start):
@@ -475,42 +473,55 @@ def _scheme_fault(labels, rules, decode, start):
                 return f"rule {lab}", f"rule image symbol {s!r} is not a label"
         if lab not in decode:
             return "labels", f"no decode entry for label {lab!r}"
-    k = len(rules[labels.symbols[0]])
     for lab in labels:
-        if len(rules[lab]) != k:
-            return f"rule {lab}", "rule images must all have the same length"
-    if k < 2:
-        return f"rule {labels.symbols[0]}", "rule images must have length >= 2"
+        if len(rules[lab]) < 2:
+            return f"rule {lab}", "rule images must have length >= 2"
     if start not in labels:
         return "start", "start label missing from label alphabet"
-    if rules[start][0] != start:
-        return "start", "start label's image must begin with the start label"
-    return None
+    lab = start
+    for _ in labels:
+        lab = rules[lab][0]
+        if lab == start:
+            return None
+    return "start", "first labels of images from the start label must lead back to it"
 
 
-# Range reads of a fixed point are cut from aligned stretches of k^b letters,
-# b the largest level with k^b at most this many.
+# Range reads of a fixed point are cut from the decoded level-b images of
+# the labels, b the last level before one with an image longer than this.
 _STRETCH = 4096
 
 
 class _FixedPoint(SequenceHandle):
-    """The decoded fixed point x of a uniform substitution sigma of length k,
-    iterated from its start label.
+    """The decoded fixed point x of a substitution sigma, read from letter
+    ``first`` on.
 
-    Label t of the undecoded fixed point comes from descending the base-k
-    digits of t from the start label, and letter i of x decodes label i.
-    Range reads are cut from stretches: letters t k^b ... (t + 1) k^b - 1 of
-    x are the decoded level-b image sigma^b of label t.  The decoded images
-    of every level up to b are built once, here, each from the images one
-    level down, so reads share no growing state.
+    Let f map a label to the first label of its image, which leads from the
+    start back to it in P steps.  With s_n = f^(-n mod P)(start), sigma^n(s_n)
+    is a prefix of x for every n.  Letter i lies in the first such prefix at
+    a level n >= b that is longer than i; descending from s_n through the
+    image lengths of each level below finds the label whose decoded level-b
+    image holds it, and range reads are cut from those images.  Lengths,
+    prefixes and images are built once, here, up to the first prefix longer
+    than DEFAULT_CEILING, so reads share no growing state; a read at or past
+    that prefix raises ResourceLimitError.
     """
 
-    def __init__(self, spec, description):
+    def __init__(self, spec, description, first=0):
         super().__init__(spec.base_alphabet(), description)
-        self._k = k = spec.block_length
-        self._start = spec.start
-        self._rules = {lab: tuple(spec.rules[lab]) for lab in spec.labels}
-        self._decode = {lab: spec.decode[lab] for lab in spec.labels}
+        self._first = first
+        self._rules = rules = {lab: tuple(spec.rules[lab]) for lab in spec.labels}
+        cycle = [spec.start]
+        while rules[cycle[-1]][0] != spec.start:
+            cycle.append(rules[cycle[-1]][0])
+        # level n: |sigma^n(a)| for every label a, then s_n and |sigma^n(s_n)|
+        self._lengths = lengths = [dict.fromkeys(rules, 1)]
+        self._starts, self._prefixes = [spec.start], [1]
+        while self._prefixes[-1] <= DEFAULT_CEILING:
+            below = lengths[-1]
+            lengths.append({lab: sum(map(below.__getitem__, image))
+                            for lab, image in rules.items()})
+            self._starts.append(cycle[-len(self._starts) % len(cycle)])
+            self._prefixes.append(lengths[-1][self._starts[-1]])
         # Images are strings with one character per letter: the letter itself
         # when every letter is a one-character string, else a stand-in that
         # reads map back.
@@ -518,74 +529,86 @@ class _FixedPoint(SequenceHandle):
         single = all(isinstance(s, str) and len(s) == 1 for s in symbols)
         chars = symbols if single else tuple(map(chr, range(len(symbols))))
         self._stand_ins = None if single else dict(zip(chars, symbols))
-        level = {lab: chars[self.alphabet.index(v)] for lab, v in self._decode.items()}
-        self._images = [level]
-        while len(level[self._start]) * k <= _STRETCH:
-            level = {
-                lab: "".join(map(level.__getitem__, image))
-                for lab, image in self._rules.items()
-            }
-            self._images.append(level)
+        images = {lab: chars[self.alphabet.index(spec.decode[lab])] for lab in rules}
+        self._b = 0
+        while max(lengths[self._b + 1].values()) <= _STRETCH:
+            images = {lab: "".join(map(images.__getitem__, image))
+                      for lab, image in rules.items()}
+            self._b += 1
+        self._images = images
 
-    def _label(self, t):
-        """Label t of the undecoded fixed point."""
-        digits = []
-        while t:
-            t, d = divmod(t, self._k)
-            digits.append(d)
-        lab = self._start
-        for d in reversed(digits):
-            lab = self._rules[lab][d]
-        return lab
+    def _locate(self, i):
+        """The label whose level-b image holds letter i of the undecoded
+        fixed point, and the offset of i in that image."""
+        b = self._b
+        n = bisect.bisect_right(self._prefixes, i, b)
+        lab = self._starts[n]
+        for lengths in reversed(self._lengths[b:n]):
+            for lab in self._rules[lab]:
+                if i < lengths[lab]:
+                    break
+                i -= lengths[lab]
+        return lab, i
 
-    def _pieces(self, lo, hi, pieces, n=None):
-        """Append letters lo..hi-1 of x to pieces as image strings; given n,
-        of the first k^n letters of x repeated instead."""
-        b = len(self._images) - 1 if n is None else min(n, len(self._images) - 1)
-        images = self._images[b]
-        size = self._k ** b
-        period = None if n is None else self._k ** (n - b)  # stretches per repeat
+    def _read_symbols(self, i, j):
+        lo, hi = i + self._first, j + self._first + 1
+        end = self._prefixes[-1]
+        if hi > end:
+            raise ResourceLimitError(
+                f"index {i if lo >= end else j} exceeds ceiling {DEFAULT_CEILING}")
+        pieces = []
         while lo < hi:
-            t, r = divmod(lo, size)
-            end = min(hi, lo - r + size)
-            lab = self._label(t if period is None else t % period)
-            pieces.append(images[lab][r:r + end - lo])
-            lo = end
-
-    def _symbols(self, pieces):
-        """The letters that a list of image strings spells."""
+            lab, r = self._locate(lo)
+            image = self._images[lab]
+            pieces.append(image[r:r + hi - lo])
+            lo += len(image) - r
         text = "".join(pieces)
         if self._stand_ins is None:
             return tuple(text)
         return tuple(map(self._stand_ins.__getitem__, text))
 
-    def _read_symbols(self, i, j):
-        pieces = []
-        self._pieces(i, j + 1, pieces)
-        return self._symbols(pieces)
 
-
-def _prefix_block(seq, n, max_len):
-    """The first k^n letters of a fixed point, refused past max_len."""
+def _prefix_block(seq, k, n, max_len):
+    """The first k^n letters of the fixed point of a length-k uniform
+    substitution, refused past max_len."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    if seq._k ** n > max_len:
-        raise ResourceLimitError(
-            f"block of length {seq._k}^{n} exceeds limit {max_len}")
-    return seq.read(0, seq._k ** n - 1)
+    if k ** n > max_len:
+        raise ResourceLimitError(f"block of length {k}^{n} exceeds limit {max_len}")
+    return seq.read(0, k ** n - 1)
 
 
 # ---------------------------------------------------------------------------
-# Thue-Morse and the quintuple blocks a_n: fixed points over their own letters
+# Thue-Morse, the quintuple blocks a_n and the pasted words c_0 c_1 c_2 ...:
+# fixed points over their own letters (and markers, for the pasted words)
 
 _IDENTITY = {"0": "0", "1": "1"}
 _TM_SCHEME = SchemeSpec(BINARY, {"0": "01", "1": "10"}, _IDENTITY, "0")
 # a_0 = 1 and a_{n+1} = a_n ~a_n ~a_n a_n a_n, so a_n = sigma^n(1)
 _QUINTUPLE_SCHEME = SchemeSpec(BINARY, {"0": "01100", "1": "10011"}, _IDENTITY, "1")
+
+
+def _pasted(pattern, description):
+    """c_0 c_1 c_2 ..., c_n the level-n quintuple block repeated
+    pattern[n mod P] times (P the period), as the fixed point of the
+    quintuple rules and m_j -> m_(j+1 mod P) 1^pattern[-1-j mod P] over
+    markers m_0 ... m_(P-1), read from letter 1.  From the start m_0,
+    s_n = m_(-n mod P) and sigma^n(s_n) = m_0 c_0 ... c_(n-1)."""
+    period = len(pattern)
+    markers = tuple(f"m{j}" for j in range(period))
+    rules = dict(_QUINTUPLE_SCHEME.rules)
+    for j, m in enumerate(markers):
+        rules[m] = (markers[(j + 1) % period],) + ("1",) * pattern[(-1 - j) % period]
+    decode = dict(_IDENTITY, **dict.fromkeys(markers, "1"))
+    spec = SchemeSpec(Alphabet(("0", "1") + markers), rules, decode, markers[0])
+    return _FixedPoint(spec, description, first=1)
+
+
 # Built once: the constructors below hand out copies, which share the level
-# images and differ only in their description.
+# lengths and images and differ only in their description.
 _TM = _FixedPoint(_TM_SCHEME, "tm")
 _QUINTUPLE = _FixedPoint(_QUINTUPLE_SCHEME, "")
+_THM21 = _pasted((4,), "thm21")
 
 
 def thue_morse():
@@ -595,12 +618,12 @@ def thue_morse():
 
 def tm_block(n, max_len=MAX_BLOCK_SYMBOLS):
     """Doubling block: block(0) = 0, block(n+1) = block(n) + its complement."""
-    return _prefix_block(_TM, n, max_len)
+    return _prefix_block(_TM, 2, n, max_len)
 
 
 def thm21_block(n, max_len=MAX_BLOCK_SYMBOLS):
     """Quintuple block: a_0 = 1, a_{n+1} = a ~a ~a a a; length 5^n."""
-    return _prefix_block(_QUINTUPLE, n, max_len)
+    return _prefix_block(_QUINTUPLE, 5, n, max_len)
 
 
 def quintuple_limit():
@@ -610,7 +633,7 @@ def quintuple_limit():
 
 
 class TauSpec(_Record):
-    """Eventually-periodic repetition counts in {4,5} (the pattern repeats)."""
+    """Periodic repetition counts in {4,5}: count(n) is pattern[n mod period]."""
 
     __slots__ = ("pattern",)
 
@@ -625,53 +648,19 @@ class TauSpec(_Record):
         return self.pattern[n % len(self.pattern)]
 
 
-class _QuintupleConcat(SequenceHandle):
-    """c_0 c_1 c_2 ... where c_n is the level-n quintuple block repeated
-    tau(n) times (tau constant 4 gives the plain variant).
-
-    Level n starts at sum_{m<n} tau(m) 5^m.  These starts are computed once,
-    up to the regulator ceiling, so reads share no growing state; a range
-    read walks them level by level, cutting each from the quintuple limit.
-    """
-
-    def __init__(self, tau, description):
-        super().__init__(BINARY, description)
-        bounds = [0]
-        while bounds[-1] <= DEFAULT_CEILING:
-            n = len(bounds) - 1
-            bounds.append(bounds[-1] + tau.count(n) * 5 ** n)
-        self._bounds = tuple(bounds)
-        self._limit = _QUINTUPLE
-
-    def _level_for(self, i):
-        n = bisect.bisect_right(self._bounds, i) - 1
-        if n == len(self._bounds) - 1:
-            raise ResourceLimitError(f"index {i} exceeds ceiling {DEFAULT_CEILING}")
-        return n
-
-    def _read_symbols(self, i, j):
-        bounds = self._bounds
-        n = self._level_for(i)
-        self._level_for(j)  # past the ceiling, raise before any work
-        pieces = []
-        while i <= j:
-            stop = min(j + 1, bounds[n + 1])
-            self._limit._pieces(i - bounds[n], stop - bounds[n], pieces, n)
-            i = stop
-            n += 1
-        return self._limit._symbols(pieces)
-
-
 def thm21():
     """The pasted sequence c_0 c_1 c_2 ... with c_n = a_n a_n a_n a_n."""
-    return _QuintupleConcat(TauSpec((4,)), "thm21")
+    return copy.copy(_THM21)
 
 
 def thm21_tau(tau):
-    """Variant with c_n repeated tau(n) times, tau eventually periodic."""
+    """Variant with c_n repeated tau(n) times, tau periodic."""
     if not isinstance(tau, TauSpec):
         tau = TauSpec(tuple(tau))
-    return _QuintupleConcat(tau, "thm21tau:" + "".join(str(v) for v in tau.pattern))
+    # c_0 ... c_(n-1) hold at least 5^n letters, so no read below the ceiling
+    # reaches a count past the quintuple limit's levels: cut the pattern there
+    return _pasted(tau.pattern[:len(_QUINTUPLE._prefixes)],
+                   "thm21tau:" + "".join(str(v) for v in tau.pattern))
 
 
 def tm_triple_fixture(n):
@@ -733,13 +722,9 @@ def scheme_validate(spec, strengthened=False):
 
 
 def scheme_generate(spec):
-    """The decoded fixed point of iterating the rules from the start label.
-
-    Letter i decodes the label reached by descending the base-k digits of
-    i.  A range read is cut from the decoded level-b images of the labels
-    (k^b at most 4096), built once per handle, so it costs one digit descent
-    per stretch of k^b letters rather than one per letter.
-    """
+    """The decoded fixed point of iterating the rules from the start label
+    (of their P-th power when first labels lead back to the start in P
+    steps), served by _FixedPoint once every label occurs in every image."""
     verdict = scheme_validate(spec)
     if not verdict.basic_ok:
         raise SchemeError("scheme rejected: " + "; ".join(verdict.failures))

@@ -295,14 +295,18 @@ def test_check_sap_matches_window_by_window_oracle():
                      "gap_fraction": rng.choice((0.1, 0.25, 0.4))}
         text = read(seq, 0, horizon - 1).text()
         v = check_sap(seq, horizon, n_max, max_failures=10 ** 6, **fractions)
-        want = sap_failures_by_windows(text, n_max, **fractions)
         statuses.add(v.status)
+        if horizon - n_max < horizon * fractions["recur_fraction"]:
+            # every factor of length n_max would fail the recur cut vacuously
+            assert v.status == "inconclusive" and not v.failures, (seq.description, horizon)
+            continue
+        want = sap_failures_by_windows(text, n_max, **fractions)
         assert v.status == ("fail" if want else "pass"), (seq.description, horizon)
         assert [(n, ce.factor.text()) for n, ce in v.failures] == want
         assert v.failure_count == len(want)
         for _, ce in v.failures:
             assert _absent_from_window(text, ce), (seq.description, horizon, ce)
-    assert statuses == {"pass", "fail"}
+    assert statuses == {"pass", "fail", "inconclusive"}
 
 
 def test_check_regulator_quintuple():

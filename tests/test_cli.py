@@ -160,6 +160,20 @@ def test_check_sap_inconclusive_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("spec, horizon, nmax", [
+    ("periodic:0", 16, 10),  # an 8-letter window cannot hold a 9-letter factor
+    ("tm", 64, 40),
+])
+def test_check_sap_without_room_past_the_recur_cut_is_inconclusive(capsys, spec,
+                                                                    horizon, nmax):
+    code, out = run_cli(capsys, ["check-sap", "--spec", spec, "--horizon", str(horizon),
+                                 "--nmax", str(nmax)])
+    assert code == 3
+    assert out == (f"check-sap\t{spec}\t{horizon}\t{nmax}\tinconclusive\t-\t"
+                   f"no factor of length {nmax} can start past the recur cut "
+                   f"{horizon // 2}\n")
+
+
 def test_empirical_regulator_table(capsys):
     code, out = run_cli(
         capsys,

@@ -1,8 +1,10 @@
 """Range reads agree with each other, and with per-letter reference
 definitions, for every sequence construction."""
 
+import itertools
 import random
 from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ QUINT_SCHEME = "labels A B\nstart A\nrule A A B B A A\nrule B B A A B B\n" \
 # k = 3, so range reads are cut from stretches of 3^7 = 2187 letters
 TRI_SCHEME = "labels A B C\nstart A\nrule A A B C\nrule B C A B\nrule C B C A\n" \
              "decode A x\ndecode B yz\ndecode C x\n"
+SCHEMES = Path(__file__).parent / "schemes"
 
 SPECS = [
     "tm",
@@ -27,15 +30,18 @@ SPECS = [
     "product:tm,periodic:ab",
     "product:prepend:1:thm21,periodic:xyz",
     "fixture:tm-triple:2",
+    f"scheme:{SCHEMES / 'nonuniform.scheme'}",
+    f"scheme:{SCHEMES / 'cyclic.scheme'}",
 ]
 
 CHUNK_EDGES = [c * 4096 for c in range(1, 6)]
 
 
-def _level_starts(tau):
-    """Where each level c_n of a pasted quintuple sequence begins."""
+def _level_starts(tau, levels=7):
+    """Where each level c_n, 0 < n <= levels, of a pasted quintuple sequence
+    begins."""
     starts, pos = [], 0
-    for n in range(7):
+    for n in range(levels):
         pos += tau[n % len(tau)] * 5 ** n
         starts.append(pos)
     return starts
@@ -62,7 +68,12 @@ def _assert_range_reads(seq, seed):
             seq.description, i, j)
 
 
-@pytest.mark.parametrize("spec", SPECS)
+def _spec_id(spec):
+    """A spec, with a scheme file named by its file name alone."""
+    return spec.rpartition("/")[2]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
 def test_range_read_equals_letter_reads(spec):
     _assert_range_reads(make_sequence(spec), seed=spec)
 
@@ -99,16 +110,34 @@ def test_suffix_shares_the_base_memo():
     assert len(calls) == FuncSequence.CHUNK  # one chunk, filled once
 
 
-def test_quintuple_level_starts_are_precomputed():
-    seq = ap.thm21()
-    bounds = seq._bounds
-    assert isinstance(bounds, tuple)
-    assert all(bounds[n] == 5 ** n - 1 for n in range(len(bounds)))
-    assert bounds[-1] > ap.regulators.DEFAULT_CEILING
+def _assert_ceiling_at(seq, index):
+    """seq reads up to index - 1, and a letter or range read reaching index
+    raises before any work."""
+    assert seq.at(index - 1) == read(seq, index - 3, index - 1).symbols[-1]
     with pytest.raises(ap.ResourceLimitError):
-        seq.at(bounds[-1])
+        seq.at(index)
     with pytest.raises(ap.ResourceLimitError):
-        read(seq, bounds[-1] - 2, bounds[-1])
+        read(seq, index - 2, index)
+
+
+def _pasted_ceiling(tau):
+    """Where reads of c_0 c_1 ... stop: the end sum_{m<=n} tau(m) 5^m of the
+    first level that ends past DEFAULT_CEILING."""
+    end = 0
+    for n in itertools.count():
+        end += tau[n % len(tau)] * 5 ** n
+        if end > ap.regulators.DEFAULT_CEILING:
+            return end
+
+
+def test_fixed_points_raise_at_the_ceiling():
+    ceiling = ap.regulators.DEFAULT_CEILING
+    assert 5 ** 20 <= ceiling < 5 ** 21 and 2 ** 48 <= ceiling < 2 ** 49
+    _assert_ceiling_at(ap.thm21(), 5 ** 21 - 1)
+    _assert_ceiling_at(make_sequence("thm21tau:5"), _pasted_ceiling((5,)))
+    _assert_ceiling_at(make_sequence("thm21tau:45"), _pasted_ceiling((4, 5)))
+    _assert_ceiling_at(ap.thue_morse(), 2 ** 49)
+    _assert_ceiling_at(ap.quintuple_limit(), 5 ** 21)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +161,7 @@ def _quintuple_reference(i):
 
 def _pasted_reference(tau):
     """c_0 c_1 ...: letter p of level n is letter p mod 5^n of the limit."""
-    starts = [0] + _level_starts(tau)
+    starts = [0] + _level_starts(tau, 22)  # past the ceiling
 
     def letter(i):
         n = bisect_right(starts, i) - 1
@@ -142,26 +171,30 @@ def _pasted_reference(tau):
 
 
 def _scheme_reference(spec):
-    """Letter i decodes the label reached by the base-k digits of i."""
-    k = spec.block_length
+    """Letter i decodes letter i of the first iterate sigma^n(start) that is
+    longer than i and begins with the start label."""
+    prefix = [spec.start]
 
     def letter(i):
-        digits = []
-        while i:
-            i, d = divmod(i, k)
-            digits.append(d)
-        lab = spec.start
-        for d in reversed(digits):
-            lab = spec.rules[lab][d]
-        return spec.decode[lab]
+        while len(prefix) <= i:
+            iterate = prefix
+            while True:
+                iterate = [lab for s in iterate for lab in spec.rules[s]]
+                if iterate[0] == spec.start:
+                    break
+            prefix[:] = iterate
+        return spec.decode[prefix[i]]
 
     return letter
 
 
-def _scheme_case(text):
+def _scheme_case(source):
+    """A scheme given as text, or as the Path of a file."""
     def make(tmp_path):
-        path = tmp_path / "case.scheme"
-        path.write_text(text)
+        path = source
+        if not isinstance(source, Path):
+            path = tmp_path / "case.scheme"
+            path.write_text(source)
         seq = make_sequence(f"scheme:{path}")
         return seq, _scheme_reference(ap.parse_scheme_file(str(path)))
 
@@ -212,6 +245,10 @@ REFERENCE_CASES = {
                     _pasted_edges((4, 5))),
     "scheme-quint": (_scheme_case(QUINT_SCHEME), [t * 3125 for t in (1, 2, 6, 25)]),
     "scheme-tri": (_scheme_case(TRI_SCHEME), [t * 2187 for t in (1, 2, 3, 9, 10)]),
+    "scheme-nonuniform": (_scheme_case(SCHEMES / "nonuniform.scheme"),
+                          [100, 4096, 9001, 30011, 50021]),
+    "scheme-cyclic": (_scheme_case(SCHEMES / "cyclic.scheme"),
+                      [t * 4096 for t in (1, 2, 3, 17)]),
     "periodic": (lambda _: (make_sequence("periodic:01101"), lambda i: "01101"[i % 5]),
                  [5, 4096, 4100, 12290]),
     "prepend": (lambda _: (make_sequence("prepend:0110:tm"),
@@ -247,3 +284,28 @@ def test_range_reads_match_the_reference_definition(tmp_path, name):
     # one read across several stretches at once
     i, j = max(0, edges[0] - 7), edges[-1] + 7
     assert read(seq, i, j).symbols == tuple(map(reference, range(i, j + 1))), name
+
+
+def test_cyclic_start_scheme_decodes_to_thue_morse():
+    seq = make_sequence(f"scheme:{SCHEMES / 'cyclic.scheme'}")
+    assert read(seq, 0, 2 ** 16 - 1) == read(make_sequence("tm"), 0, 2 ** 16 - 1)
+
+
+# period 7, and period 30, longer than the levels a read below the ceiling
+# can reach
+LONG_PATTERNS = ["4554545", "455454554544554455545445545454"]
+
+
+@pytest.mark.parametrize("pattern", LONG_PATTERNS)
+def test_long_tau_patterns_match_the_reference_definition(pattern):
+    tau = tuple(map(int, pattern))
+    seq = make_sequence("thm21tau:" + pattern)
+    reference = _pasted_reference(tau)
+    starts = _level_starts(tau, 21)
+    edges = [e for e in starts if e <= 5 ** 8] + [starts[18], starts[19], 5 ** 20]
+    rng = random.Random(pattern)
+    for edge in edges:
+        i, j = max(0, edge - rng.randint(1, 300)), edge + rng.randint(0, 2500)
+        expect = tuple(map(reference, range(i, j + 1)))
+        assert read(seq, i, j).symbols == expect, (pattern, i, j)
+        assert tuple(seq.at(k) for k in range(i, j + 1, 37)) == expect[::37], (pattern, i)

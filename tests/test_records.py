@@ -139,14 +139,20 @@ def test_scheme_spec_compares_labels_and_start_only():
 
 @pytest.mark.parametrize("rules, start, message", [
     ({"0": "01"}, "0", "no rule for label '1'"),
-    ({"0": "01", "1": "1"}, "0", "rule images must all have the same length"),
+    ({"0": "011", "1": "10"}, "0", None),  # images of different lengths
+    ({"0": "01", "1": "1"}, "0", "rule images must have length >= 2"),
     ({"0": "0", "1": "1"}, "0", "rule images must have length >= 2"),
     ({"0": "01", "1": "10"}, None, "start label missing from label alphabet"),
-    ({"0": "10", "1": "10"}, "0", "start label's image must begin with the start"),
+    ({"0": "10", "1": "01"}, "0", None),  # first labels 0 -> 1 -> 0
+    ({"0": "10", "1": "10"}, "0",  # first labels 0 -> 1 -> 1 -> ...
+     "first labels of images from the start label must lead back to it"),
 ])
 def test_scheme_spec_validation(rules, start, message):
-    with pytest.raises(SchemeError, match=message):
-        SchemeSpec(BINARY, rules, IDENTITY, start)
+    if message is None:
+        assert SchemeSpec(BINARY, rules, IDENTITY, start).rules == rules
+    else:
+        with pytest.raises(SchemeError, match=message):
+            SchemeSpec(BINARY, rules, IDENTITY, start)
     with pytest.raises(SchemeError, match="no decode entry for label '1'"):
         SchemeSpec(BINARY, TM_RULES, {"0": "0"}, "0")
 

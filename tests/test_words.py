@@ -279,15 +279,19 @@ def test_scheme_validate_strengthened_vs_oracle():
 
 
 def test_scheme_rejects_bad_specs():
+    decode = {"A": "0", "B": "1"}
+    # unequal image lengths, and a start whose first labels cycle A -> B -> A
+    SchemeSpec(AB, {"A": word("AB", AB), "B": word("BAB", AB)}, decode, "A")
+    SchemeSpec(AB, {"A": word("BA", AB), "B": word("AB", AB)}, decode, "A")
     with pytest.raises(ap.SchemeError):
-        # unequal image lengths
-        SchemeSpec(AB, {"A": word("AB", AB), "B": word("BAB", AB)}, {"A": "0", "B": "1"}, "A")
+        # a one-label image
+        SchemeSpec(AB, {"A": word("AB", AB), "B": word("B", AB)}, decode, "A")
     with pytest.raises(ap.SchemeError):
         # label B missing from decode
         SchemeSpec(AB, {"A": word("AB", AB), "B": word("BA", AB)}, {"A": "0"}, "A")
     with pytest.raises(ap.SchemeError):
-        # start label's image does not begin with it
-        SchemeSpec(AB, {"A": word("BA", AB), "B": word("AB", AB)}, {"A": "0", "B": "1"}, "A")
+        # first labels A -> B -> B -> ... never lead back to the start
+        SchemeSpec(AB, {"A": word("BA", AB), "B": word("BA", AB)}, decode, "A")
 
 
 def test_scheme_file_roundtrip(tmp_path):
@@ -324,10 +328,10 @@ def test_scheme_file_rejects_repeats_and_undeclared_labels(tmp_path, extra, mess
     ("labels A A\n", ":1: duplicate symbol 'A'"),
     (TM_SCHEME_TEXT.replace("rule A A B", "rule A A C"),
      ":3: rule image symbol 'C' is not a label"),
-    (TM_SCHEME_TEXT.replace("rule B B A", "rule B B A A"),
-     ":4: rule images must all have the same length"),
+    (TM_SCHEME_TEXT.replace("rule B B A", "rule B B"),
+     ":4: rule images must have length >= 2"),
     (TM_SCHEME_TEXT.replace("start A", "start B").replace("B B A", "B A B"),
-     ":2: start label's image must begin with the start label"),
+     ":2: first labels of images from the start label must lead back to it"),
     (TM_SCHEME_TEXT.replace("decode B 1\n", ""), ":1: no decode entry for label 'B'"),
     (TM_SCHEME_TEXT.replace("start A\n", ""),
      ": start label missing from label alphabet"),
@@ -338,6 +342,19 @@ def test_scheme_file_errors_name_the_stanza_at_fault(tmp_path, text, message):
     with pytest.raises((ap.SchemeError, ap.AlphabetError)) as exc:
         ap.parse_scheme_file(str(p))
     assert str(exc.value) == f"{p}{message}"
+
+
+@pytest.mark.parametrize("text, prefix", [
+    # images of lengths 2 and 3
+    (TM_SCHEME_TEXT.replace("rule B B A", "rule B B A A"), "0110010001011000"),
+    # first labels A -> B -> A: the fixed point of sigma^2 from A
+    (TM_SCHEME_TEXT.replace("A A B", "A B A").replace("B B A", "B A B"),
+     "0110100110010110"),
+])
+def test_scheme_file_accepts_unequal_images_and_a_start_cycle(tmp_path, text, prefix):
+    p = tmp_path / "ok.scheme"
+    p.write_text(text)
+    assert read(scheme_generate(ap.parse_scheme_file(str(p))), 0, 15).text() == prefix
 
 
 def test_scheme_file_labels_may_follow_rules(tmp_path):
