@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import compress, count, islice, pairwise, starmap, takewhile
+from itertools import compress, islice, takewhile
 from operator import eq, itemgetter, sub
 
 from .errors import ResourceLimitError
@@ -146,7 +146,7 @@ def _split(pos, stop, nxt):
 
 def _letter_codes(text):
     """text with each distinct letter replaced by one code point, below 256
-    for up to 256 distinct letters.
+    for up to 256 distinct letters; codes keep the letters' order.
 
     Reading such a letter returns a cached one-char string, so no next-letter
     read allocates.  The private-use letters _seq_text writes for alphabets of
@@ -156,7 +156,7 @@ def _letter_codes(text):
     raw = text.encode("utf-16-le", "surrogatepass")
     if raw[1::2] == bytes([_PUA >> 8]) * len(text):
         return raw[::2].decode("latin-1")
-    return text.translate({ord(c): i for i, c in enumerate(set(text))})
+    return text.translate({ord(c): i for i, c in enumerate(sorted(set(text)))})
 
 
 class FactorIndex:
@@ -412,54 +412,63 @@ def check_sap(seq, horizon, n_max, recur_fraction=0.5, gap_fraction=0.25,
     return Verdict("pass", horizon, note="pass-at-horizon")
 
 
-def _run_length(text, a, b, cap):
-    """Length of the common prefix of text[a:] and text[b:], at most cap.
+# Periods below this get one XOR over the whole word, longer ones window names.
+_SHORT_PERIOD = 64
+_window_name = hash  # equal windows get equal names; a match is only a filter
 
-    Binary search with slice compares: O(log cap) steps in Python.
-    """
-    lo, hi = 0, cap
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if text[a + lo:a + mid] == text[b + lo:b + mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+
+def _cube_start(x, size, p, width, start=0):
+    """The first letter >= start from which x, letter codes (width bytes a
+    letter) XOR their shift by p letters, holds 2p zero letters, or -1."""
+    d, zeros = x.to_bytes(size, "big"), bytes(2 * p * width)
+    j = d.find(zeros, start * width)
+    while j % width and j > 0:
+        j = d.find(zeros, j - j % width + width)
+    return j // width
 
 
 def is_cube_free(w):
     """Whether no non-empty u has uuu as a factor of w.
 
-    A cube of period p holds an anchor t = kp (k >= 1) whose p-blocks
-    w[t:t+p] and w[t+p:t+2p] are equal; an anchor where they differ has a
-    forward agreement run f < p between w and its shift by p, and at most p
-    agreeing letters before t, so it holds no cube.  Per period, the full
-    p-blocks are therefore streamed and compared with their right neighbours
-    in C.  At a matching anchor, f is grown past p with slice compares
-    (capped at 2p) and one slice compare tests the 2p - f letters before t;
-    only a confirmed cube counts the agreeing letters before t one by one,
-    capped at p, for the witness start.  The witness is the first cube in
-    (period, anchor) order.
+    A cube of period p is 2p letters x with w[x] = w[x + p]: there the letter
+    codes (one byte each, four past 256 distinct letters), read as a number,
+    XOR their shift by p to zero.  Below _SHORT_PERIOD, one find over that
+    XOR of the whole word gives the leftmost cube.  A longer cube holds an
+    anchor t = kp (k >= 1) with equal p-blocks, so equal first windows; only
+    anchors whose window names match get the exact block compare and the XOR
+    over w[t-p:t+3p].  The witness has the least period, then leftmost start.
     """
     text = _encode(w.symbols, w.alphabet)
-    n = len(text)
-    for p in range(1, n // 3 + 1):
-        blocks = map(text.__getitem__,
-                     map(slice, range(p, n - p + 1, p), range(2 * p, n + 1, p)))
-        for k in compress(count(1), starmap(eq, pairwise(blocks))):
-            t = k * p
-            f = p + _run_length(text, t + p, t + 2 * p, min(p, n - t - 2 * p))
-            need = 2 * p - f
-            if text[t - need:t] != text[t + p - need:t + p]:
+    letters = _letter_codes(text)
+    try:
+        codes, width = letters.encode("latin-1"), 1
+    except UnicodeEncodeError:
+        codes, width = letters.encode("utf-32-be"), 4
+    n, size, whole = len(text), len(codes), int.from_bytes(codes, "big")
+    for p in range(1, min(n // 3 + 1, _SHORT_PERIOD)):
+        i = _cube_start(whole ^ whole >> 8 * width * p, size, p, width, p)
+        if i >= 0:
+            return _cube(w, p, i - p)
+    span, view = _SHORT_PERIOD * width, memoryview(codes)
+    names = array("q", map(_window_name, map(codes.__getitem__, map(
+        slice, range(0, size, width), range(span, size + 1, width)))))
+    for p in range(_SHORT_PERIOD, n // 3 + 1):
+        same = map(eq, names[p:n - 2 * p + 1:p], names[2 * p:n - p + 1:p])
+        for t in compress(range(p, n, p), same):
+            a, b, c = t * width, (t + p) * width, (t + 2 * p) * width
+            if view[a:b] != view[b:c]:
                 continue
-            b = 0
-            while b < p and text[t - 1 - b] == text[t + p - 1 - b]:
-                b += 1
-            i = t - b
-            return _fail(
-                n, p, Counterexample(_text_word(text[i:i + p], w.alphabet), i, 3 * p)
-            )
+            low, high = view[2 * a - b:min(c, size - b + a)], view[a:2 * c - b]
+            x = int.from_bytes(low, "big") ^ int.from_bytes(high, "big")
+            i = _cube_start(x, len(low), p, width)
+            if i >= 0:
+                return _cube(w, p, t - p + i)
     return Verdict("pass", n)
+
+
+def _cube(w, p, i):
+    ce = Counterexample(Word(w.alphabet, w.symbols[i:i + p]), i, 3 * p)
+    return _fail(len(w), p, ce)
 
 
 def default_cut_grid(horizon):

@@ -609,6 +609,7 @@ def _pasted(pattern, description):
 _TM = _FixedPoint(_TM_SCHEME, "tm")
 _QUINTUPLE = _FixedPoint(_QUINTUPLE_SCHEME, "")
 _THM21 = _pasted((4,), "thm21")
+_PASTED = {}  # thm21tau handles by cut pattern, emptied when 32 are kept
 
 
 def thue_morse():
@@ -659,8 +660,13 @@ def thm21_tau(tau):
         tau = TauSpec(tuple(tau))
     # c_0 ... c_(n-1) hold at least 5^n letters, so no read below the ceiling
     # reaches a count past the quintuple limit's levels: cut the pattern there
-    return _pasted(tau.pattern[:len(_QUINTUPLE._prefixes)],
-                   "thm21tau:" + "".join(str(v) for v in tau.pattern))
+    pattern = tau.pattern[:len(_QUINTUPLE._prefixes)]
+    if len(_PASTED) >= 32:
+        _PASTED.clear()
+    built = _PASTED[pattern] = _PASTED.get(pattern) or _pasted(pattern, "")
+    seq = copy.copy(built)
+    seq.description = "thm21tau:" + "".join(map(str, tau.pattern))
+    return seq
 
 
 def tm_triple_fixture(n):

@@ -469,6 +469,109 @@ def test_cube_free_matches_per_letter_scan_on_cube_families():
     assert is_cube_free(tm) == cube_scan_per_letter(tm) == Verdict("pass", 2 ** 15)
 
 
+def _tm_letters(n):
+    return list(read(thue_morse(), 0, n - 1).symbols)
+
+
+def _plant(letters, i, p, run):
+    """letters with letter x + p set to letter x for x in [i, i + run), and
+    the letter after that, if any, set to differ from the one p before it
+    where another letter occurs."""
+    s = list(letters)
+    for x in range(i, i + run):
+        s[x + p] = s[x]
+    x = i + run + p
+    if x < len(s):
+        s[x] = next((a for a in sorted(set(letters)) if a != s[x - p]), s[x])
+    return s
+
+
+def test_cube_free_matches_per_letter_scan_on_planted_cubes():
+    tm = _tm_letters(2 ** 13)
+    for p in (63, 64, 65, 1500):
+        for i in (0, 1, 700, 2 ** 13 - 3 * p - 1):
+            w = Word(ap.BINARY, tuple(_plant(tm, i, p, 2 * p)))
+            got = is_cube_free(w)
+            assert got == cube_scan_per_letter(w), (p, i)
+            assert got.status == "fail" and got.failures[0][0] <= p, (p, i)
+
+
+def test_cube_free_rejects_near_cubes_on_both_sides_of_the_split():
+    # An agreement run of 2p - 1 letters is a square and no cube; over a
+    # cube-free random word on 200 letters it is the only long repetition.
+    rng = random.Random(3)
+    alphabet = Alphabet(tuple(f"s{k}" for k in range(200)))
+    base = [rng.choice(alphabet.symbols) for _ in range(4000)]
+    assert cube_scan_per_letter(Word(alphabet, tuple(base))).passed
+    for p in (1, 2, 62, 63, 64, 65, 200, 999):
+        for i in (1, 5, 1000):
+            s = _plant(base, i, p, 2 * p - 1)
+            s[i - 1] = next(a for a in alphabet.symbols
+                            if a not in (s[i - 1 + p], s[i]))
+            w = Word(alphabet, tuple(s))
+            got = is_cube_free(w)
+            assert got == cube_scan_per_letter(w) == Verdict("pass", 4000), (p, i)
+            s[i - 1] = s[i - 1 + p]
+            w = Word(alphabet, tuple(s))
+            got = is_cube_free(w)
+            assert got == cube_scan_per_letter(w), (p, i)
+            assert got.failures[0][0] == p and got.counterexample.window_start == i - 1
+
+
+def test_cube_free_on_one_three_and_300_letters():
+    rng = random.Random(12)
+    wide = Alphabet(tuple(f"s{k}" for k in range(300)))
+    for _ in range(40):
+        n = rng.randint(0, 900)
+        for alphabet in (Alphabet(("a",)), Alphabet(("a", "b", "c")), wide):
+            s = [rng.choice(alphabet.symbols) for _ in range(n)]
+            if n >= 3 and rng.random() < 0.5:
+                p = rng.randint(1, n // 3)
+                s = _plant(s, rng.randint(0, n - 3 * p), p, 2 * p)
+            w = Word(alphabet, tuple(s))
+            assert is_cube_free(w) == cube_scan_per_letter(w), (alphabet, n)
+    for text in ("", "0", "1", "00", "01", "10", "11"):
+        w = word(text, ap.BINARY)
+        assert is_cube_free(w) == cube_scan_per_letter(w) == Verdict("pass", len(text))
+
+
+def test_cube_free_accepts_only_whole_letters_of_wide_codes():
+    # Past 256 distinct letters a letter takes four bytes.  Letter y0 holds
+    # s256 where the letter p before it holds s0, and letter y0 + 2p holds
+    # s257 where the one p before holds s256.  The 2p - 1 letters between
+    # them agree with the ones p before, so the XOR has a run of 8p zero
+    # bytes that starts inside letter y0 and is no cube.
+    wide = Alphabet(tuple(f"s{k}" for k in range(300)))
+    for p in (3, 70):
+        fill = [k for k in range(300) if k not in (0, 256, 257)]
+        v, fill = fill[:p - 1], fill[p - 1:]
+        y0 = 5 * p
+        codes = fill[:y0 - p] + [0, *v, 256, *v, 256, *v, 257] + fill[y0 - p:]
+        w = Word(wide, tuple(f"s{k}" for k in codes))
+        assert len(set(codes)) == 300
+        assert is_cube_free(w) == cube_scan_per_letter(w) == Verdict("pass", len(codes))
+
+
+def test_cube_free_window_names_are_only_a_filter(monkeypatch):
+    rng = random.Random(4)
+    words = [read(make_sequence(_random_cube_spec(rng, family)), 0, h - 1)
+             for family in ("periodic", "prepend", "thm21tau", "fixture", "product")
+             for h in (2 ** 9, 2 ** 12)]
+    tm = _tm_letters(2 ** 12)
+    words += [Word(ap.BINARY, tuple(_plant(tm, 300, p, 2 * p))) for p in (64, 65, 900)]
+    words.append(read(thue_morse(), 0, 2 ** 12 - 1))
+    expected = [is_cube_free(w) for w in words]
+    monkeypatch.setattr(ap.analysis, "_window_name", lambda window: 0)
+    assert [is_cube_free(w) for w in words] == expected
+    assert expected == [cube_scan_per_letter(w) for w in words]
+    assert {v.status for v in expected} == {"pass", "fail"}
+
+
+def test_thue_morse_2_17_is_cube_free():
+    tm = read(thue_morse(), 0, 2 ** 17 - 1)
+    assert is_cube_free(tm) == Verdict("pass", 2 ** 17)
+
+
 def test_default_cut_grid():
     assert default_cut_grid(64) == [0, 1, 2, 4, 8, 16, 32]
     assert default_cut_grid(2) == [0, 1]

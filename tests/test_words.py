@@ -137,6 +137,19 @@ def test_determinism_same_spec():
     assert read(h1, 0, 10 ** 5 - 1).symbols == read(h2, 0, 10 ** 5 - 1).symbols
 
 
+def test_thm21tau_handles_share_their_levels_per_pattern():
+    h1, h2 = make_sequence("thm21tau:45"), thm21_tau((4, 5))
+    assert h1 is not h2 and h1._images is h2._images
+    assert h1.description == h2.description == "thm21tau:45"
+    first = read(h1, 0, 10 ** 4).symbols
+    for k in range(40):  # more patterns than are kept
+        t = thm21_tau(tuple(4 + (k >> j & 1) for j in range(6)))
+        assert t.description == "thm21tau:" + "".join(str(4 + (k >> j & 1)) for j in range(6))
+    assert len(ap.words._PASTED) <= 32
+    h3 = thm21_tau((4, 5))
+    assert h3._images is not h1._images and read(h3, 0, 10 ** 4).symbols == first
+
+
 def test_tau_all_fours_is_base_sequence():
     t = thm21_tau(TauSpec((4,)))
     assert read(t, 0, 999).symbols == read(thm21(), 0, 999).symbols
