@@ -16,33 +16,21 @@ from .errors import ResourceLimitError
 from .regulators import Regulator
 from .words import Word, _Record
 
-# Symbols are mapped to private-use-area characters so factor scans can use
-# native string slicing and find().
-_PUA = 0xE000
-
-
-def _char_table(alphabet):
-    """symbol -> its private-use-area character."""
-    return {s: chr(_PUA + i) for i, s in enumerate(alphabet.symbols)}
-
-
-def _encode(symbols, alphabet):
-    return "".join(map(_char_table(alphabet).__getitem__, symbols))
-
 
 def _seq_text(seq, lo, hi):
-    return _encode(seq.read(lo, hi).symbols, seq.alphabet)
+    """Letters lo..hi of seq as text: one letter code each (Alphabet.encode)."""
+    return seq.alphabet.encode(seq.read(lo, hi).symbols)
 
 
 def _word_text(x, alphabet):
     """Map a Word through a sequence's alphabet; None if a symbol is foreign."""
     if not alphabet.covers(x.symbols):
         return None
-    return _encode(x.symbols, alphabet)
+    return alphabet.encode(x.symbols)
 
 
 def _text_word(text, alphabet):
-    return Word(alphabet, tuple(alphabet.symbols[ord(c) - _PUA] for c in text))
+    return Word(alphabet, alphabet.decode(text))
 
 
 class Counterexample(_Record):
@@ -144,21 +132,6 @@ def _split(pos, stop, nxt):
     return list(groups.values())
 
 
-def _letter_codes(text):
-    """text with each distinct letter replaced by one code point, below 256
-    for up to 256 distinct letters; codes keep the letters' order.
-
-    Reading such a letter returns a cached one-char string, so no next-letter
-    read allocates.  The private-use letters _seq_text writes for alphabets of
-    up to 256 symbols are mapped by their low byte, in C; any other text
-    goes through str.translate.
-    """
-    raw = text.encode("utf-16-le", "surrogatepass")
-    if raw[1::2] == bytes([_PUA >> 8]) * len(text):
-        return raw[::2].decode("latin-1")
-    return text.translate({ord(c): i for i, c in enumerate(sorted(set(text)))})
-
-
 class FactorIndex:
     """Every factor of one text at a factor length n, refined one n at a time.
 
@@ -175,7 +148,9 @@ class FactorIndex:
     keeps its starts and stats, except the one factor that starts at
     len(text) - n, which loses that start and is summarized again.  Python
     work per level is one step per factor plus C-level passes over the
-    starts of factors that can branch.
+    starts of factors that can branch.  Next letters are read from the text
+    itself, so they cost no allocation when its letters are below U+0100,
+    as _seq_text writes them for alphabets of at most 256 symbols.
 
     The index moves forward only; asking for a smaller n than the current
     one rebuilds it from n = 0.
@@ -183,7 +158,6 @@ class FactorIndex:
 
     def __init__(self, text):
         self._text = text
-        self._codes = _letter_codes(text)
         self._reset()
 
     def _reset(self):
@@ -199,7 +173,7 @@ class FactorIndex:
     def _advance(self):
         n, text, branched = self._n, self._text, self._branched
         end = len(text) - n  # a length-n factor starting here has no next letter
-        nxt = self._codes[n:]
+        nxt = text[n:]
         level, self._branched = [], set()
         for entry in self._level:
             first, last, _, _, pos = entry
@@ -431,19 +405,19 @@ def is_cube_free(w):
     """Whether no non-empty u has uuu as a factor of w.
 
     A cube of period p is 2p letters x with w[x] = w[x + p]: there the letter
-    codes (one byte each, four past 256 distinct letters), read as a number,
-    XOR their shift by p to zero.  Below _SHORT_PERIOD, one find over that
-    XOR of the whole word gives the leftmost cube.  A longer cube holds an
-    anchor t = kp (k >= 1) with equal p-blocks, so equal first windows; only
-    anchors whose window names match get the exact block compare and the XOR
-    over w[t-p:t+3p].  The witness has the least period, then leftmost start.
+    codes (Alphabet.encode; one byte each, or four for an alphabet of more
+    than 256 symbols), read as a number, XOR their shift by p to zero.
+    Below _SHORT_PERIOD, one find over that XOR of the whole word gives the
+    leftmost cube.  A longer cube holds an anchor t = kp (k >= 1) with equal
+    p-blocks, so equal first windows; only anchors whose window names match
+    get the exact block compare and the XOR over w[t-p:t+3p].  The witness
+    has the least period, then leftmost start.
     """
-    text = _encode(w.symbols, w.alphabet)
-    letters = _letter_codes(text)
-    try:
-        codes, width = letters.encode("latin-1"), 1
-    except UnicodeEncodeError:
-        codes, width = letters.encode("utf-32-be"), 4
+    text = w.alphabet.encode(w.symbols)
+    if len(w.alphabet) <= 256:
+        codes, width = text.encode("latin-1"), 1
+    else:
+        codes, width = text.encode("utf-32-be", "surrogatepass"), 4
     n, size, whole = len(text), len(codes), int.from_bytes(codes, "big")
     for p in range(1, min(n // 3 + 1, _SHORT_PERIOD)):
         i = _cube_start(whole ^ whole >> 8 * width * p, size, p, width, p)

@@ -11,6 +11,7 @@ from .errors import (
     FiniteOutputError,
     InvariantViolation,
     ResourceLimitError,
+    content_lines,
 )
 from .regulators import reg_iterated_bound, reg_split
 from .words import Alphabet, StreamSequence, Word, _Record, word
@@ -549,7 +550,7 @@ def _parse_header(path, required):
     other lines as (line number, line)."""
     header = {}
     body = []
-    for lineno, line in _content_lines(path):
+    for lineno, line in content_lines(path):
         key = line.split()[0].rstrip(":")
         if key not in _HEADERS:
             body.append((lineno, line))
@@ -563,14 +564,6 @@ def _parse_header(path, required):
     if "initial" in header and len(header["initial"]) != 1:
         raise ValueError(f"{path}: initial takes exactly one state")
     return header, body
-
-
-def _content_lines(path):
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
 
 
 def _parse_arrows(body, path, arity, noun):

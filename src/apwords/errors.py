@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its line reader."""
 
 
 class ApwordsError(Exception):
@@ -38,3 +38,13 @@ class FiniteOutputError(ApwordsError):
 
 class InvariantViolation(ApwordsError):
     """A machine-checked invariant failed during a construction."""
+
+
+def content_lines(path):
+    """(line number, line) for each line of a text file that holds more
+    than a ``#`` comment, with the comment and outer blanks stripped."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line

@@ -8,7 +8,7 @@ function is again a regulator, so the calculus below only ever grows values.
 
 from __future__ import annotations
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, content_lines
 
 # Arguments or values past this ceiling raise instead of silently wrapping.
 DEFAULT_CEILING = 2 ** 48
@@ -170,20 +170,16 @@ def load_table_regulator(path):
     """Table file: one ``n value`` pair per line; '#' comments allowed.  A
     line that is not two integers, or a repeated n, names its path:line."""
     table = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                n, v = map(_ascii_int, line.split())
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: expected two integers 'n value', got {line!r}"
-                ) from None
-            if n in table:
-                raise ValueError(f"{path}:{lineno}: repeated n = {n}")
-            table[n] = v
+    for lineno, line in content_lines(path):
+        try:
+            n, v = map(_ascii_int, line.split())
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: expected two integers 'n value', got {line!r}"
+            ) from None
+        if n in table:
+            raise ValueError(f"{path}:{lineno}: repeated n = {n}")
+        table[n] = v
     return table_regulator(table, description=f"empirical:{path}")
 
 

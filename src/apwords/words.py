@@ -20,6 +20,7 @@ from .errors import (
     ResourceLimitError,
     SchemeError,
     SpecParseError,
+    content_lines,
 )
 from .regulators import DEFAULT_CEILING
 
@@ -73,7 +74,11 @@ class _Record:
 
 
 class Alphabet:
-    """An ordered finite set of distinct symbols."""
+    """An ordered finite set of distinct symbols, each with one letter code:
+    the character that stands for it wherever a word is scanned as text.
+    The code is the symbol itself when every symbol is a one-character
+    string below U+0100, else chr(i) for the i-th symbol, so an alphabet of
+    at most 256 symbols codes into latin-1 characters."""
 
     def __init__(self, symbols):
         syms = tuple(symbols)
@@ -86,6 +91,12 @@ class Alphabet:
             index[s] = i
         self._symbols = syms
         self._index = index
+        if all(isinstance(s, str) and len(s) == 1 and s < "\u0100" for s in syms):
+            self._codes = self._letters = None  # each symbol is its own code
+        else:
+            codes = tuple(map(chr, range(len(syms))))
+            self._codes = dict(zip(syms, codes))
+            self._letters = dict(zip(codes, syms))
 
     @classmethod
     def from_text(cls, text):
@@ -101,6 +112,18 @@ class Alphabet:
             return self._index[symbol]
         except KeyError:
             raise AlphabetError(f"symbol {symbol!r} not in alphabet") from None
+
+    def encode(self, symbols):
+        """The letter codes of symbols of the alphabet, as one string."""
+        if self._codes is None:
+            return "".join(symbols)
+        return "".join(map(self._codes.__getitem__, symbols))
+
+    def decode(self, text):
+        """The symbols whose letter codes make up text, as a tuple."""
+        if self._letters is None:
+            return tuple(text)
+        return tuple(map(self._letters.__getitem__, text))
 
     def __contains__(self, symbol):
         return symbol in self._index
@@ -522,14 +545,8 @@ class _FixedPoint(SequenceHandle):
                             for lab, image in rules.items()})
             self._starts.append(cycle[-len(self._starts) % len(cycle)])
             self._prefixes.append(lengths[-1][self._starts[-1]])
-        # Images are strings with one character per letter: the letter itself
-        # when every letter is a one-character string, else a stand-in that
-        # reads map back.
-        symbols = self.alphabet.symbols
-        single = all(isinstance(s, str) and len(s) == 1 for s in symbols)
-        chars = symbols if single else tuple(map(chr, range(len(symbols))))
-        self._stand_ins = None if single else dict(zip(chars, symbols))
-        images = {lab: chars[self.alphabet.index(spec.decode[lab])] for lab in rules}
+        # images are the letter codes of the decoded images; reads decode them
+        images = {lab: self.alphabet.encode((spec.decode[lab],)) for lab in rules}
         self._b = 0
         while max(lengths[self._b + 1].values()) <= _STRETCH:
             images = {lab: "".join(map(images.__getitem__, image))
@@ -562,19 +579,17 @@ class _FixedPoint(SequenceHandle):
             image = self._images[lab]
             pieces.append(image[r:r + hi - lo])
             lo += len(image) - r
-        text = "".join(pieces)
-        if self._stand_ins is None:
-            return tuple(text)
-        return tuple(map(self._stand_ins.__getitem__, text))
+        return self.alphabet.decode("".join(pieces))
 
 
-def _prefix_block(seq, k, n, max_len):
+def _prefix_block(seq, k, n):
     """The first k^n letters of the fixed point of a length-k uniform
-    substitution, refused past max_len."""
+    substitution, refused past MAX_BLOCK_SYMBOLS."""
     if n < 0:
         raise ValueError("level must be >= 0")
-    if k ** n > max_len:
-        raise ResourceLimitError(f"block of length {k}^{n} exceeds limit {max_len}")
+    if k ** n > MAX_BLOCK_SYMBOLS:
+        raise ResourceLimitError(
+            f"block of length {k}^{n} exceeds limit {MAX_BLOCK_SYMBOLS}")
     return seq.read(0, k ** n - 1)
 
 
@@ -617,14 +632,14 @@ def thue_morse():
     return copy.copy(_TM)
 
 
-def tm_block(n, max_len=MAX_BLOCK_SYMBOLS):
+def tm_block(n):
     """Doubling block: block(0) = 0, block(n+1) = block(n) + its complement."""
-    return _prefix_block(_TM, 2, n, max_len)
+    return _prefix_block(_TM, 2, n)
 
 
-def thm21_block(n, max_len=MAX_BLOCK_SYMBOLS):
+def thm21_block(n):
     """Quintuple block: a_0 = 1, a_{n+1} = a ~a ~a a a; length 5^n."""
-    return _prefix_block(_QUINTUPLE, 5, n, max_len)
+    return _prefix_block(_QUINTUPLE, 5, n)
 
 
 def quintuple_limit():
@@ -750,36 +765,32 @@ def parse_scheme_file(path):
     rules = {}
     decode = {}
     seen = {}  # stanza -> line number
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            kind = parts[0]
-            stanza = " ".join(parts[:2] if kind in ("rule", "decode") else parts[:1])
-            if stanza in seen:
-                raise SchemeError(f"{path}:{lineno}: repeated {stanza!r} stanza")
-            seen[stanza] = lineno
-            if kind == "labels":
-                try:
-                    labels = Alphabet(parts[1:])
-                except AlphabetError as exc:
-                    raise AlphabetError(f"{path}:{lineno}: {exc}") from None
-            elif kind == "start":
-                if len(parts) != 2:
-                    raise SchemeError(f"{path}:{lineno}: start takes one label")
-                start = parts[1]
-            elif kind == "rule":
-                if len(parts) < 3:
-                    raise SchemeError(f"{path}:{lineno}: rule needs an image")
-                rules[parts[1]] = tuple(parts[2:])
-            elif kind == "decode":
-                if len(parts) != 3:
-                    raise SchemeError(f"{path}:{lineno}: decode takes label and symbol")
-                decode[parts[1]] = parts[2]
-            else:
-                raise SchemeError(f"{path}:{lineno}: unknown stanza {kind!r}")
+    for lineno, line in content_lines(path):
+        parts = line.split()
+        kind = parts[0]
+        stanza = " ".join(parts[:2] if kind in ("rule", "decode") else parts[:1])
+        if stanza in seen:
+            raise SchemeError(f"{path}:{lineno}: repeated {stanza!r} stanza")
+        seen[stanza] = lineno
+        if kind == "labels":
+            try:
+                labels = Alphabet(parts[1:])
+            except AlphabetError as exc:
+                raise AlphabetError(f"{path}:{lineno}: {exc}") from None
+        elif kind == "start":
+            if len(parts) != 2:
+                raise SchemeError(f"{path}:{lineno}: start takes one label")
+            start = parts[1]
+        elif kind == "rule":
+            if len(parts) < 3:
+                raise SchemeError(f"{path}:{lineno}: rule needs an image")
+            rules[parts[1]] = tuple(parts[2:])
+        elif kind == "decode":
+            if len(parts) != 3:
+                raise SchemeError(f"{path}:{lineno}: decode takes label and symbol")
+            decode[parts[1]] = parts[2]
+        else:
+            raise SchemeError(f"{path}:{lineno}: unknown stanza {kind!r}")
     if labels is None:
         raise SchemeError(f"{path}: missing labels stanza")
     for stanza, lineno in seen.items():

@@ -144,7 +144,7 @@ def _assert_index_matches(index, text, ns):
 def test_factor_index_matches_per_position_scan_on_seeded_texts():
     rng = random.Random(20261019)
     for i in range(3000):
-        # private-use letters as _seq_text writes them, or other letters
+        # letters past U+00FF, or latin-1 letters as _seq_text writes them
         alphabet = "\ue000\ue001\ue002\ue003" if i % 4 < 2 else "abcd"
         letters = alphabet[:rng.randint(1, 4)]
         # lengths 1..300, most of them short: checking every n costs length^2
@@ -533,6 +533,52 @@ def test_cube_free_on_one_three_and_300_letters():
     for text in ("", "0", "1", "00", "01", "10", "11"):
         w = word(text, ap.BINARY)
         assert is_cube_free(w) == cube_scan_per_letter(w) == Verdict("pass", len(text))
+
+
+def _letters_apart(w):
+    """w as text coded apart from Alphabet: symbol i -> chr(0x10000 + i)."""
+    return "".join(chr(0x10000 + w.alphabet.index(s)) for s in w.symbols)
+
+
+@pytest.mark.parametrize("size", [300, 60000])
+def test_oracles_match_references_on_wide_alphabets(size):
+    # codes past 255, and for 60000 symbols codes in the surrogate block
+    alphabet = Alphabet(range(size))
+    rng = random.Random(size)
+    edges = (255, 256) if size < 0xE000 else (0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF)
+    pool = [*rng.sample(range(size), 8), *edges, 0, size - 1]
+
+    def draw(lo, hi):
+        return Word(alphabet, tuple(rng.choice(pool) for _ in range(rng.randint(lo, hi))))
+
+    statuses = set()
+    for _ in range(12):
+        w = draw(0, 300)
+        if len(w) >= 3 and rng.random() < 0.5:
+            p = rng.randint(1, len(w) // 3)
+            i = rng.randint(0, len(w) - 3 * p)
+            w = Word(alphabet, tuple(_plant(w.symbols, i, p, 2 * p)))
+        cube = is_cube_free(w)
+        assert cube == cube_scan_per_letter(w), len(w)
+        head = draw(0, 30) if rng.random() < 0.6 else draw(0, 0)
+        seq = prepend(head, periodic(draw(1, 6)))
+        horizon, n_max = rng.randint(40, 200), rng.randint(1, 6)
+        text = _letters_apart(read(seq, 0, horizon - 1))
+        v = check_sap(seq, horizon, n_max, max_failures=10 ** 6)
+        want = sap_failures_by_windows(text, n_max, 0.5, 0.25)
+        assert [(n, _letters_apart(ce.factor)) for n, ce in v.failures] == want
+        statuses.update({("sap", v.status), ("cube", cube.status)})
+        index = FactorIndex(_seq_text(seq, 0, horizon - 1))
+        for n in range(n_max + 1):
+            got = [(alphabet.decode(k), e) for k, e in index.stats(n).items()]
+            ref = factor_stats_per_position(text, n)
+            assert got == [(tuple(ord(c) - 0x10000 for c in k), e) for k, e in ref.items()]
+        for x in (read(seq, 3, 3 + n_max), Word(alphabet, tuple(edges))):
+            pat = _letters_apart(x)
+            assert occurrences(x, seq, 0, horizon - len(x)) == [
+                i for i in range(horizon) if text[i:i + len(x)] == pat]
+    assert statuses == {(oracle, status) for oracle in ("sap", "cube")
+                        for status in ("pass", "fail")}
 
 
 def test_cube_free_accepts_only_whole_letters_of_wide_codes():

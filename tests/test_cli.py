@@ -548,6 +548,20 @@ def test_importing_the_package_loads_only_errors(tmp_path):
     assert [m for m in modules if m.startswith("apwords")] == ["apwords", "apwords.errors"]
 
 
+def test_every_module_imports_only_the_standard_library(tmp_path):
+    package = Path(apwords.__file__).parent
+    names = ["apwords"] + [f"apwords.{p.stem}" for p in sorted(package.glob("*.py"))
+                           if p.stem != "__init__"]
+    probe = ("import sys\nbefore = set(sys.modules)\n"
+             f"for name in {names!r}:\n    __import__(name)\n"
+             "print(repr(sorted(set(sys.modules) - before)))")
+    added = _fresh(tmp_path, probe)
+    assert set(names) <= set(added)
+    foreign = [m for m in added if m.partition(".")[0] not in
+               sys.stdlib_module_names | {"apwords"}]
+    assert foreign == []
+
+
 def test_every_public_name_resolves():
     for name in PUBLIC_NAMES:
         namespace = {}

@@ -468,6 +468,40 @@ def test_alphabet_invariants():
         word("abc", ap.BINARY)
 
 
+def test_alphabet_letter_codes_round_trip():
+    tm = read(thue_morse(), 0, 999).symbols
+    pairs = Alphabet(tuple((a, b) for a in "01" for b in "xyz"))
+    for alphabet, symbols in [
+        (ap.BINARY, tm),
+        (pairs, tuple(pairs.symbols[3 * a + i % 3] for i, a in enumerate(map(int, tm)))),
+        (Alphabet(range(300)), tuple(range(300)) + (299, 0, 255, 256, 7) * 3),
+        (Alphabet(range(60000)), tuple(range(0, 60000, 7)) + tuple(range(0xD7F0, 0xE010))),
+    ]:
+        text = alphabet.encode(symbols)
+        assert len(text) == len(symbols) and alphabet.decode(text) == symbols
+        codes = [alphabet.encode((s,)) for s in alphabet.symbols]
+        assert len(set(codes)) == len(alphabet) and all(len(c) == 1 for c in codes)
+        assert text == "".join(codes[alphabet.index(s)] for s in symbols)
+    # one-character letters below U+0100 are their own codes; others are
+    # numbered, into the surrogate block from symbol 0xD800 on
+    assert ap.BINARY.encode(tm) == "".join(tm)
+    assert Alphabet(("b", "\xff", "a")).encode("ab\xff") == "ab\xff"
+    assert Alphabet(("b", "\u0100")).encode(("\u0100", "b")) == "\x01\x00"
+    assert pairs.encode((("1", "z"),)) == "\x05"
+    assert Alphabet(range(60000)).encode((0xD800, 0xDFFF)) == "\ud800\udfff"
+
+
+def test_blocks_past_the_symbol_limit_are_refused_before_any_read(monkeypatch):
+    reads = []
+    monkeypatch.setattr(ap.words._FixedPoint, "_read_symbols",
+                        lambda self, i, j: reads.append((i, j)))
+    with pytest.raises(ap.ResourceLimitError):
+        tm_block(26)
+    with pytest.raises(ap.ResourceLimitError):
+        thm21_block(11)
+    assert reads == []
+
+
 def test_stream_sequence_keeps_the_generator_error():
     def gen():
         yield from "01101"
