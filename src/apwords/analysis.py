@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import compress, islice, takewhile
+from itertools import compress, islice
 from operator import eq, itemgetter, sub
 
 from .errors import ResourceLimitError
@@ -324,15 +324,20 @@ def check_regulator(seq, reg, horizon, n_max):
     return Verdict("pass", horizon, note="pass-at-horizon")
 
 
-def _sap_rule(horizon, recur_fraction, gap_fraction):
+SAP_RECUR_FRACTION = 0.5
+SAP_GAP_FRACTION = 0.25
+SAP_MAX_FAILURES = 256
+
+
+def _sap_rule(horizon):
     """The per-factor test of check_sap at one horizon.
 
     Returns fault(first, last, maxgap): "recur" when the factor's last start
-    lies before horizon*recur_fraction, "gap" when its first start or a
-    start-gap exceeds horizon*gap_fraction, None when it passes.
+    lies before the recur cut horizon/2, "gap" when its first start or a
+    start-gap exceeds the gap cut horizon/4, None when it passes.
     """
-    recur_cut = horizon * recur_fraction
-    gap_cut = horizon * gap_fraction
+    recur_cut = horizon * SAP_RECUR_FRACTION
+    gap_cut = horizon * SAP_GAP_FRACTION
 
     def fault(first, last, maxgap):
         if last < recur_cut:
@@ -344,22 +349,23 @@ def _sap_rule(horizon, recur_fraction, gap_fraction):
     return fault
 
 
-def check_sap(seq, horizon, n_max, recur_fraction=0.5, gap_fraction=0.25,
-              max_failures=256):
+def check_sap(seq, horizon, n_max):
     """Falsify uniform recurrence of every factor up to length n_max.
 
-    A factor whose last occurrence starts before horizon*recur_fraction while
-    the scan continues to the horizon is witnessed non-recurrent; a factor
-    whose start-gaps exceed horizon*gap_fraction has no witnessed bound.
-    Both thresholds are artifact knobs with these defaults.
+    A factor whose last occurrence starts before the recur cut horizon/2,
+    while the scan continues to the horizon, is witnessed non-recurrent; a
+    factor whose first start or a start-gap exceeds the gap cut horizon/4
+    has no witnessed bound.  The verdict lists the first 256 failures and
+    counts them all.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if horizon - n_max < horizon * recur_fraction:
+    recur_cut = horizon * SAP_RECUR_FRACTION
+    if horizon - n_max < recur_cut:
         return Verdict("inconclusive", horizon, note=f"no factor of length {n_max} "
-                       f"can start past the recur cut {horizon * recur_fraction:g}")
+                       f"can start past the recur cut {recur_cut:g}")
     index = FactorIndex(_seq_text(seq, 0, horizon - 1))
-    fault = _sap_rule(horizon, recur_fraction, gap_fraction)
+    fault = _sap_rule(horizon)
     failures = []
     count = 0
     for n in range(1, n_max + 1):
@@ -374,7 +380,7 @@ def check_sap(seq, horizon, n_max, recur_fraction=0.5, gap_fraction=0.25,
             else:
                 start, length = gap_prev + 1, maxgap - 2 + n
             count += 1
-            if len(failures) < max_failures:
+            if len(failures) < SAP_MAX_FAILURES:
                 failures.append(
                     (n, Counterexample(_text_word(key, seq.alphabet), start, length))
                 )
@@ -455,60 +461,54 @@ def default_cut_grid(horizon):
     return cuts
 
 
-def pr_upper_estimate(seq, horizon, n_max, cut_grid=None, recur_fraction=0.5,
-                      gap_fraction=0.25):
+def pr_upper_estimate(seq, horizon, n_max):
     """Smallest sampled cut whose suffix passes the recurrence falsifier.
 
     This is an upper estimate of the minimal uniformly-recurrent suffix cut,
     valid only at the horizon and factor lengths scanned; returns None when
-    no sampled cut passes.  By definition it is the first cut c of the sorted
-    grid (stopping at the first c with horizon - c < n_max) for which
-    check_sap(seq.suffix(c), horizon - c, n_max) passes.
+    no sampled cut passes.  The cuts sampled are default_cut_grid(horizon):
+    0, 1, 2, 4, ... up to horizon/2.  By definition the estimate is the
+    first such cut c (stopping at the first c with horizon - c < n_max) for
+    which check_sap(seq.suffix(c), horizon - c, n_max) passes.
 
-    The prefix from the smallest cut is encoded once, into one FactorIndex.
-    Per factor length n, each cut still alive reads every factor's first
-    and last start past it by one bisection of the factor's starts and is
-    judged by the same per-factor rule as check_sap.  The factor's widest
-    start-gap stands in for the widest one past the cut, which it bounds;
-    the gaps past the cut are scanned only when that gap opens before the
-    cut and the factor fails with it.  A cut is dropped at its first
-    failing factor.
+    The prefix is encoded once, into one FactorIndex.  Per factor length n,
+    each cut still alive reads every factor's first and last start past it
+    by one bisection of the factor's starts and is judged by the same
+    per-factor rule as check_sap.  The factor's widest start-gap stands in
+    for the widest one past the cut, which it bounds; the gaps past the cut
+    are scanned only when that gap opens before the cut and the factor fails
+    with it.  A cut is dropped at its first failing factor.
 
     At a finite n_max, a sequence with no uniformly recurrent suffix can
     still have a passing cut: every non-recurring factor past that cut may be
     longer than n_max.  For thm21 at horizon 5^6 the estimate is 16 at
     n_max = 20 and 128 at n_max = 60.
     """
-    if cut_grid is None:
-        cut_grid = default_cut_grid(horizon)
-    live = list(takewhile(lambda c: horizon - c >= n_max, sorted(cut_grid)))
-    if not live:
-        return None
-    base = live[0]
-    # the errors of the definition's first check, in its order
-    suffix = seq.suffix(base)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    index = FactorIndex(_seq_text(suffix, 0, horizon - base - 1))
-    rules = {c: _sap_rule(horizon - c, recur_fraction, gap_fraction) for c in live}
+    live = [c for c in default_cut_grid(horizon) if horizon - c >= n_max]
+    if not live:
+        return None
+    index = FactorIndex(_seq_text(seq, 0, horizon - 1))
     for n in range(1, n_max + 1):
         factors = list(zip(index.positions(n).values(), index.stats(n).values()))
-        live = [c for c in live if _cut_passes(factors, c - base, rules[c])]
+        live = [c for c in live if _cut_passes(factors, c, horizon)]
         if not live:
             return None
     return live[0]
 
 
-def _cut_passes(factors, d, fault):
-    """Whether every factor starting at or past offset d passes fault."""
+def _cut_passes(factors, cut, horizon):
+    """Whether every factor starting at or past cut passes its suffix's rule."""
+    fault = _sap_rule(horizon - cut)
     for pos, (_, last, maxgap, gap_prev) in factors:
-        if last < d:
+        if last < cut:
             continue  # the factor starts only before the cut
-        k = bisect_left(pos, d)
-        kind = fault(pos[k] - d, last - d, maxgap)
-        if kind == "gap" and gap_prev < d:
+        k = bisect_left(pos, cut)
+        kind = fault(pos[k] - cut, last - cut, maxgap)
+        if kind == "gap" and gap_prev < cut:
             # the widest gap opens before the cut: judge the gaps past it
-            kind = fault(pos[k] - d, last - d, _widest_gap(pos, k)[0])
+            kind = fault(pos[k] - cut, last - cut, _widest_gap(pos, k)[0])
         if kind:
             return False
     return True

@@ -247,13 +247,13 @@ def _scan_blocks(seq, marker, start, stop_blocks, stop_letters):
             return blocks[:stop_blocks]
 
 
-def split(seq, marker, reg, scan_cap=DEFAULT_SCAN_CAP):
+def split(seq, marker, reg):
     """Cut a sequence into blocks ending at each occurrence of the marker,
     drop the first (partial) block, and recode blocks over a fresh alphabet.
 
     The block alphabet is closed after a scan long enough to witness every
     recurrent block (two split-regulator windows); a block first seen after
-    closure is a hard invariant violation.
+    closure is a hard invariant violation (scan capped at DEFAULT_SCAN_CAP).
     """
     if marker not in infinite_letters(seq, reg):
         raise ValueError(f"marker {marker!r} does not recur (not in the "
@@ -271,14 +271,14 @@ def split(seq, marker, reg, scan_cap=DEFAULT_SCAN_CAP):
         raise InvariantViolation("no complete block in the probe window")
     k_probe = max(len(b) for b in probe)
     closure_blocks = 2 * reg_split(reg, k_probe)(1)
-    if closure_blocks * r1 > scan_cap:
+    if closure_blocks * r1 > DEFAULT_SCAN_CAP:
         raise ResourceLimitError(
             f"block-alphabet closure scan ({closure_blocks} blocks of up to "
-            f"{r1} letters) exceeds cap {scan_cap}"
+            f"{r1} letters) exceeds cap {DEFAULT_SCAN_CAP}"
         )
     seen = {}
     order = []
-    for b in _scan_blocks(seq, marker, offset, closure_blocks, scan_cap):
+    for b in _scan_blocks(seq, marker, offset, closure_blocks, DEFAULT_SCAN_CAP):
         if b not in seen:
             seen[b] = f"b{len(order)}"
             order.append(b)
@@ -380,7 +380,7 @@ class ReductionReport(_Record, frozen=False):
         return [len(s.automaton.states) for s in self.steps]
 
 
-def reduce_to_reversible(auto, seq, reg, scan_cap=DEFAULT_SCAN_CAP):
+def reduce_to_reversible(auto, seq, reg):
     """Iteratively split on a non-injective letter until the block automaton
     is reversible, certifying the deleted prefix length against the
     iterated-composition bound.
@@ -402,19 +402,19 @@ def reduce_to_reversible(auto, seq, reg, scan_cap=DEFAULT_SCAN_CAP):
     while True:
         letters = infinite_letters(cur_seq, cur_reg)
         restricted = cur_auto.restricted(letters)
-        if is_reversible(restricted):
-            final = restricted
-            break
         images = letter_images(restricted)
         candidates = [
             s for s in restricted.input_alphabet
             if len(images[s]) < len(restricted.states)
         ]
+        if not candidates:  # every letter permutes the states: reversible
+            final = restricted
+            break
         letter = min(
             candidates,
             key=lambda s: (len(images[s]), restricted.input_alphabet.index(s)),
         )
-        sr = split(cur_seq, letter, cur_reg, scan_cap=scan_cap)
+        sr = split(cur_seq, letter, cur_reg)
         dropped = cur_seq.read(0, sr.offset - 1).symbols
         step_deleted = sum(span[s] for s in dropped)
         deleted += step_deleted

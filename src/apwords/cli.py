@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ApwordsError, ResourceLimitError, SpecParseError
+from .errors import ApwordsError, ResourceLimitError, SpecParseError, ascii_int
 
 DEFAULT_HORIZON = 2 ** 14
 DEFAULT_NMAX = 12
@@ -26,9 +26,7 @@ EXIT_RESOURCE = 3
 
 def _positive_int(text):
     try:
-        if not text.isascii():  # int() also reads other scripts' digits
-            raise ValueError(text)
-        value = int(text)
+        value = ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its line reader."""
+"""Exception types shared across the package, and its text readers."""
 
 
 class ApwordsError(Exception):
@@ -38,6 +38,14 @@ class FiniteOutputError(ApwordsError):
 
 class InvariantViolation(ApwordsError):
     """A machine-checked invariant failed during a construction."""
+
+
+def ascii_int(text):
+    """int(text) for an optional ``-`` and ASCII digits, else ValueError (int()
+    alone also takes blanks, ``_``, ``+`` and other scripts' digits)."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def content_lines(path):

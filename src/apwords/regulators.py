@@ -8,7 +8,7 @@ function is again a regulator, so the calculus below only ever grows values.
 
 from __future__ import annotations
 
-from .errors import ResourceLimitError, content_lines
+from .errors import ResourceLimitError, ascii_int, content_lines
 
 # Arguments or values past this ceiling raise instead of silently wrapping.
 DEFAULT_CEILING = 2 ** 48
@@ -97,9 +97,9 @@ def reg_split(r, k):
                      f"split(k={k}) of {r.description}")
 
 
-def pointwise_max(r1, r2, provenance="derived"):
+def pointwise_max(r1, r2):
     """r(n) = max(r1(n), r2(n)); lets fixture families share one regulator."""
-    return Regulator(lambda n: max(r1(n), r2(n)), provenance,
+    return Regulator(lambda n: max(r1(n), r2(n)), "derived",
                      f"max({r1.description}, {r2.description})")
 
 
@@ -159,20 +159,13 @@ def table_regulator(table, description="table"):
     return Regulator(fn, "empirical-lower-bound", description)
 
 
-def _ascii_int(text):
-    """int() of text in ASCII only (int() also reads other scripts' digits)."""
-    if not text.isascii():
-        raise ValueError(f"not an ASCII integer: {text!r}")
-    return int(text)
-
-
 def load_table_regulator(path):
     """Table file: one ``n value`` pair per line; '#' comments allowed.  A
     line that is not two integers, or a repeated n, names its path:line."""
     table = {}
     for lineno, line in content_lines(path):
         try:
-            n, v = map(_ascii_int, line.split())
+            n, v = map(ascii_int, line.split())
         except ValueError:
             raise ValueError(
                 f"{path}:{lineno}: expected two integers 'n value', got {line!r}"
@@ -197,7 +190,7 @@ def parse_regulator(text):
     if kind in _FORMULAS:
         make, form = _FORMULAS[kind]
         try:
-            numbers = [_ascii_int(v) for v in values.split(":")]
+            numbers = [ascii_int(v) for v in values.split(":")]
         except ValueError:
             numbers = []
         if len(numbers) != form.count(":"):

@@ -219,16 +219,16 @@ def check_regulator_by_windows(text, reg, n_max):
     return None
 
 
-def sap_failures_by_windows(text, n_max, recur_fraction, gap_fraction):
+def sap_failures_by_windows(text, n_max):
     """Reference check_sap: every failing (n, factor), in order of n and
     first occurrence.  A factor fails when no start lies at or past
-    horizon*recur_fraction, or when it is absent from a window holding
-    W + 1 starts at the front of the text, or W starts with starts of the
-    factor on both sides (W the largest whole number <= horizon*gap_fraction,
-    so a longer run of starts without it is a gap above the cut)."""
+    horizon/2, or when it is absent from a window holding W + 1 starts at
+    the front of the text, or W starts with starts of the factor on both
+    sides (W the largest whole number <= horizon/4, so a longer run of
+    starts without it is a gap above the cut)."""
     horizon = len(text)
-    recur_from = math.ceil(horizon * recur_fraction)
-    W = math.floor(horizon * gap_fraction)
+    recur_from = math.ceil(horizon * 0.5)
+    W = math.floor(horizon * 0.25)
     failing = []
     for n in range(1, n_max + 1):
         for x in dict.fromkeys(text[i:i + n] for i in range(horizon - n + 1)):
@@ -291,22 +291,33 @@ def test_check_sap_matches_window_by_window_oracle():
         seq = make_sequence(_windowed_word_spec(rng))
         horizon = rng.randint(8, 160)
         n_max = rng.randint(1, min(6, horizon))
-        fractions = {"recur_fraction": rng.choice((0.3, 0.5, 0.7)),
-                     "gap_fraction": rng.choice((0.1, 0.25, 0.4))}
         text = read(seq, 0, horizon - 1).text()
-        v = check_sap(seq, horizon, n_max, max_failures=10 ** 6, **fractions)
+        v = check_sap(seq, horizon, n_max)
         statuses.add(v.status)
-        if horizon - n_max < horizon * fractions["recur_fraction"]:
+        if horizon - n_max < horizon * 0.5:
             # every factor of length n_max would fail the recur cut vacuously
             assert v.status == "inconclusive" and not v.failures, (seq.description, horizon)
             continue
-        want = sap_failures_by_windows(text, n_max, **fractions)
+        want = sap_failures_by_windows(text, n_max)
+        assert len(want) <= 256  # so the verdict lists every failure
         assert v.status == ("fail" if want else "pass"), (seq.description, horizon)
         assert [(n, ce.factor.text()) for n, ce in v.failures] == want
         assert v.failure_count == len(want)
         for _, ce in v.failures:
             assert _absent_from_window(text, ce), (seq.description, horizon, ce)
     assert statuses == {"pass", "fail", "inconclusive"}
+
+
+def test_check_sap_lists_the_first_256_failures_and_counts_all():
+    # a random head that never recurs, so most of its factors fail
+    rng = random.Random(256)
+    seq = prepend(word("".join(rng.choice("01") for _ in range(300))),
+                  periodic(word("0", ap.BINARY)))
+    v = check_sap(seq, 800, 12)
+    want = sap_failures_by_windows(read(seq, 0, 799).text(), 12)
+    assert len(want) > 256
+    assert v.failure_count == len(want)
+    assert [(n, ce.factor.text()) for n, ce in v.failures] == want[:256]
 
 
 def test_check_regulator_quintuple():
@@ -564,8 +575,9 @@ def test_oracles_match_references_on_wide_alphabets(size):
         seq = prepend(head, periodic(draw(1, 6)))
         horizon, n_max = rng.randint(40, 200), rng.randint(1, 6)
         text = _letters_apart(read(seq, 0, horizon - 1))
-        v = check_sap(seq, horizon, n_max, max_failures=10 ** 6)
-        want = sap_failures_by_windows(text, n_max, 0.5, 0.25)
+        v = check_sap(seq, horizon, n_max)
+        want = sap_failures_by_windows(text, n_max)
+        assert len(want) <= 256  # so the verdict lists every failure
         assert [(n, _letters_apart(ce.factor)) for n, ce in v.failures] == want
         statuses.update({("sap", v.status), ("cube", cube.status)})
         index = FactorIndex(_seq_text(seq, 0, horizon - 1))
@@ -633,14 +645,14 @@ def test_pr_estimate_triple_block_fixture_is_positive():
     assert est is not None and est >= 1
 
 
-def pr_by_cuts(seq, horizon, n_max, cut_grid=None, **fractions):
-    """Reference pr estimate: the first sorted cut c, before the first with
-    horizon - c < n_max, at which check_sap(seq.suffix(c), ...) passes."""
-    grid = default_cut_grid(horizon) if cut_grid is None else cut_grid
-    for c in sorted(grid):
+def pr_by_cuts(seq, horizon, n_max):
+    """Reference pr estimate: the first cut c of the default grid, before the
+    first with horizon - c < n_max, at which check_sap(seq.suffix(c), ...)
+    passes."""
+    for c in default_cut_grid(horizon):
         if horizon - c < n_max:
             break
-        if check_sap(seq.suffix(c), horizon - c, n_max, **fractions).passed:
+        if check_sap(seq.suffix(c), horizon - c, n_max).passed:
             return c
     return None
 
@@ -656,22 +668,15 @@ def test_pr_estimate_matches_per_cut_definition():
     rng = random.Random(77)
     families = ("periodic", "prepend", "thm21tau", "fixture", "product")
     estimates = set()
-    for i in range(60):
+    for _ in range(60):
         spec = rng.choice(("tm", "thm21") + families)
         if spec in families:
             spec = _random_cube_spec(rng, spec)
         seq = make_sequence(spec)
         horizon = rng.randint(2 ** 6, 2 ** 10)
         n_max = rng.randint(1, 10)
-        kwargs = {}
-        if i % 3 == 1:
-            # unsorted, with duplicates and cuts past horizon - n_max
-            kwargs["cut_grid"] = [rng.randint(0, horizon) for _ in range(8)] * 2
-        if i % 2 == 1:
-            kwargs["recur_fraction"] = rng.choice((0.3, 0.5, 0.7))
-            kwargs["gap_fraction"] = rng.choice((0.1, 0.25, 0.4))
-        got = pr_upper_estimate(seq, horizon, n_max, **kwargs)
-        assert got == pr_by_cuts(seq, horizon, n_max, **kwargs), (spec, horizon, n_max, kwargs)
+        got = pr_upper_estimate(seq, horizon, n_max)
+        assert got == pr_by_cuts(seq, horizon, n_max), (spec, horizon, n_max)
         estimates.add(got if got in (None, 0) else "positive")
     assert estimates == {None, 0, "positive"}
 
@@ -696,17 +701,10 @@ def test_pr_estimate_thm21_at_cap_60():
 
 def test_pr_estimate_errors_match_per_cut_definition():
     tm = thue_morse()
-    for args, kwargs in [
-        ((tm, 256, 0), {}),
-        ((tm, 256, -3), {}),
-        ((tm, 256, 4), {"cut_grid": [8, -2, 0]}),
-        ((tm, 256, 0), {"cut_grid": [-1]}),
-        ((tm, 256, 4), {"cut_grid": [300, -1]}),  # stops before any cut
-    ]:
-        got = _outcome(pr_upper_estimate, *args, **kwargs)
-        assert got == _outcome(pr_by_cuts, *args, **kwargs), (args, kwargs)
-    assert _outcome(pr_upper_estimate, tm, 256, 0)[0] is ValueError
-    assert _outcome(pr_upper_estimate, tm, 256, 4, cut_grid=[-1])[0] is ValueError
+    for n_max in (0, -3):
+        got = _outcome(pr_upper_estimate, tm, 256, n_max)
+        assert got == _outcome(pr_by_cuts, tm, 256, n_max), n_max
+        assert got[0] is ValueError
 
 
 def test_verdict_report_shape():

@@ -582,14 +582,23 @@ def test_run_over_a_failing_index_function_stops_at_the_failure():
     assert len(calls) < 2 * ap.FuncSequence.CHUNK
 
 
-def test_split_probe_window_stops_at_its_letter_cap():
+def test_split_probe_window_stops_at_its_letter_cap(monkeypatch):
     # the probe sees only "0001" in its 32 letters, so the closure scan is
     # sized for blocks of 4 and fits the cap; it then meets a 40-letter block
+    monkeypatch.setattr(ap.automata, "DEFAULT_SCAN_CAP", 100)
     seq = ap.FuncSequence(
         BIN, lambda i: "1" if i in (1, 5) or (i >= 6 and i % 40 == 0) else "0",
         "sparse")
     with pytest.raises(ap.InvariantViolation, match="block of length 40"):
-        split(seq, "1", ap.identity_plus(3), scan_cap=100)
+        split(seq, "1", ap.identity_plus(3))
+
+
+def test_split_and_reduce_read_the_scan_cap_when_called(monkeypatch):
+    monkeypatch.setattr(ap.automata, "DEFAULT_SCAN_CAP", 10)
+    with pytest.raises(ap.ResourceLimitError, match="exceeds cap 10"):
+        split(thue_morse(), "0", ap.identity_plus(3))
+    with pytest.raises(ap.ResourceLimitError, match="exceeds cap 10"):
+        reduce_to_reversible(merge2_automaton(), thue_morse(), ap.identity_plus(3))
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,8 @@ def test_bad_empirical_table_exit_2(capsys, tmp_path):
     ("1 3 5\n", ":1: expected two integers 'n value', got '1 3 5'"),
     ("1 3\n1 5\n", ":2: repeated n = 1"),
     ("1 \u0663\n", ":1: expected two integers 'n value', got '1 \u0663'"),
+    ("1 +3\n", ":1: expected two integers 'n value', got '1 +3'"),
+    ("1_0 3\n", ":1: expected two integers 'n value', got '1_0 3'"),
 ])
 def test_bad_empirical_table_line_exit_2(capsys, tmp_path, text, message):
     reg = tmp_path / "bad.reg"
@@ -318,6 +320,10 @@ def test_nonpositive_numbers_exit_2(capsys, flag, value):
     ["check-sap", "--spec", "tm", "--nmax", "2", "--horizon", "\u0661\u0660\u0662\u0664"],
     ["check-sap", "--spec", "tm", "--nmax", "\uff12"],
     ["check-sap", "--spec", "tm", "--horizon", "not-a-number"],
+    # int() would read these three as 1024
+    ["check-sap", "--spec", "tm", "--horizon", "1_024"],
+    ["check-sap", "--spec", "tm", "--horizon", " 1024"],
+    ["check-sap", "--spec", "tm", "--horizon", "+1024"],
 ])
 def test_numbers_must_be_ascii_integers(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -330,7 +336,12 @@ def test_numbers_must_be_ascii_integers(capsys, argv):
 
 
 @pytest.mark.parametrize("reg, form", [("id+c:\u0663", "id+c:<c>"),
-                                       ("lin:1:\u0663", "lin:<a>:<b>")])
+                                       ("lin:1:\u0663", "lin:<a>:<b>"),
+                                       ("id+c:1_0", "id+c:<c>"),
+                                       ("lin:1:+2", "lin:<a>:<b>"),
+                                       ("lin: 1:2", "lin:<a>:<b>"),
+                                       ("lin:1:-", "lin:<a>:<b>"),
+                                       ("id+c:--5", "id+c:<c>")])
 def test_regulator_values_must_be_ascii_integers(capsys, reg, form):
     assert cli.main(["check-regulator", "--spec", "tm", "--reg", reg,
                      "--horizon", "64", "--nmax", "2"]) == 2
@@ -347,6 +358,14 @@ def test_horizon_below_nmax_exit_2(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: need horizon >= n_max >= 1\n"
+
+
+def test_negative_regulator_values_are_read(capsys):
+    # lin:2:-1 gives windows 1, 3, ...: "0" is missing from the first 1-window
+    assert cli.main(["check-regulator", "--spec", "tm", "--reg", "lin:2:-1",
+                     "--horizon", "64", "--nmax", "2", "--json"]) == 1
+    ce = json.loads(capsys.readouterr().out)["counterexample"]
+    assert ce == {"factor": "0", "window_len": 1, "window_start": 1}
 
 
 def test_negative_identity_offset_exit_2(capsys):

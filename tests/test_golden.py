@@ -1,0 +1,25 @@
+"""The golden CLI corpus: every invocation in tests/golden/cli.json prints
+exactly what the corpus records.  Regenerate it with tests/golden/regen.py."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+CASES = json.loads(regen.CORPUS.read_text())
+
+
+def test_corpus_covers_every_invocation():
+    assert [case["argv"] for case in CASES] == regen.argvs()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_cli_output_matches_corpus(tmp_path, case):
+    regen.copy_inputs(tmp_path)
+    assert regen.run(case["argv"], tmp_path) == case
