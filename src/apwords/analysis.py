@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import compress, islice
-from operator import eq, itemgetter, sub
+from itertools import accumulate, compress, count, islice, repeat
+from operator import add, eq, itemgetter, sub
 
 from .errors import ResourceLimitError
 from .regulators import Regulator
@@ -132,25 +132,57 @@ def _split(pos, stop, nxt):
     return list(groups.values())
 
 
+def _byte_stats(ids, v):
+    """[first, last, maxgap, gap_prev] of the positions of byte v in ids, or
+    None when v does not occur; from the lengths of the pieces of one split."""
+    lens = list(map(len, ids.split(bytes((v,)))))
+    m = len(lens) - 1  # how many times v occurs
+    if not m:
+        return None
+    first, last = lens[0], len(ids) - 1 - lens[-1]
+    if m == 1:
+        return [first, last, 0, first]
+    widest = max(islice(lens, 1, m))
+    j = lens.index(widest, 1, m)  # lens[j] lies between positions j - 1 and j
+    return [first, last, widest + 1, first + j - 1 + sum(islice(lens, 1, j))]
+
+
+def _numbered(text):
+    """(k, text): the k distinct letters of text and, when k <= 256, the text
+    with them numbered 0..k-1 in letter order (latin-1 letters)."""
+    letters = sorted(set(text))
+    if len(letters) <= 256:
+        text = text.translate(dict(zip(map(ord, letters), range(len(letters)))))
+    return len(letters), text
+
+
+def _starts(ids, v):
+    """The ascending positions of byte v in ids, as an array('i')."""
+    lens = map(len, ids.split(bytes((v,)))[:-1])
+    return array("i", map(add, accumulate(lens), count()))
+
+
 class FactorIndex:
     """Every factor of one text at a factor length n, refined one n at a time.
 
     Level n lists the distinct length-n factors in order of first
-    occurrence, each with its ascending start positions (an array('i')) and
-    its stats [first, last, maxgap, gap_prev]: first and last start, the
-    widest start-gap and the start that opens the first widest gap (maxgap
-    0 and gap_prev = first for a factor that occurs once).
-
-    Level n + 1 is made from level n.  A factor u can have two right
+    occurrence, each with its stats [first, last, maxgap, gap_prev]: first
+    and last start, the widest start-gap and the start that opens the first
+    widest gap (maxgap 0 and gap_prev = first for a factor that occurs
+    once).  Level n + 1 is made from level n.  A factor u can have two right
     extensions only if its suffix u[1:] had two at the level before
     (Cassaigne, Recurrence in infinite words, STACS 2001), so only those
-    factors have their starts split by next letter; every other factor
-    keeps its starts and stats, except the one factor that starts at
-    len(text) - n, which loses that start and is summarized again.  Python
-    work per level is one step per factor plus C-level passes over the
-    starts of factors that can branch.  Next letters are read from the text
-    itself, so they cost no allocation when its letters are below U+0100,
-    as _seq_text writes them for alphabets of at most 256 symbols.
+    factors are split by next letter; every other factor keeps its stats,
+    except the one that starts at len(text) - n, which loses that start.
+
+    The k distinct letters of the text are numbered 0..k-1.  While a
+    level's F factors times k fit a byte (F * k <= 256), the level is one
+    bytes object of ids, ids[i] = the first-occurrence number of the factor
+    starting at i.  The next level is ids[i] * k + the next letter for all
+    i in one big-integer multiply-add (no byte can carry), renumbered by one
+    bytes.translate; a child of a factor that can branch gets its stats
+    from one bytes.split.  From the first level where F * k > 256, each
+    factor holds its ascending starts (an array('i')) instead.
 
     The index moves forward only; asking for a smaller n than the current
     one rebuilds it from n = 0.
@@ -158,30 +190,67 @@ class FactorIndex:
 
     def __init__(self, text):
         self._text = text
+        self._k, self._codes = _numbered(text)
         self._reset()
 
     def _reset(self):
-        # Level 0: the empty factor, starting everywhere; its starts are split
-        # into arrays at once.
+        # Level 0: the empty factor, starting everywhere, always split.
         end = len(self._text)
         self._n = 0
-        self._level = [[0, end, min(end, 1), 0, range(end + 1)]]
-        # The suffix test of the empty factor reads text[1:0] == "", so the
-        # single factor of level 0 is always split.
-        self._branched = {""}
+        self._ids = bytes(end + 1)
+        self._level = [[0, end, min(end, 1), 0]]
+        self._fork = {0}  # ids of the factors whose suffix branched
 
     def _advance(self):
-        n, text, branched = self._n, self._text, self._branched
-        end = len(text) - n  # a length-n factor starting here has no next letter
-        nxt = text[n:]
+        n, ids, k, fork = self._n, self._ids, self._k, self._fork
+        if ids is not None and len(self._level) * k > 256:  # hand off to arrays
+            self._branched = {self._codes[s[0] + 1:s[0] + n]
+                              for v, s in enumerate(self._level) if v in fork}
+            self._level, self._ids = self._arrays(), None
+        if self._ids is None:
+            return self._advance_arrays()
+        size = len(ids) - 1  # the factor starting at size has no next letter
+        raw = (int.from_bytes(ids[:-1], "big") * k + int.from_bytes(
+            self._codes[n:].encode("latin-1"), "big")).to_bytes(size, "big")
+        kids, branched = [], set()
+        for v, s in enumerate(self._level):
+            first, last, maxgap, _ = s
+            if maxgap and v in fork:
+                split = [*filter(None, map(_byte_stats, repeat(raw, k),
+                                           range(v * k, v * k + k)))]
+                if len(split) > 1:
+                    branched.add(v)
+                kids.extend(split)
+            elif last < size:
+                kids.append(s)
+            elif first < size:
+                kids.append(_byte_stats(raw, raw[first]))
+        kids.sort(key=itemgetter(0))
+        table = bytearray(256)
+        for j, s in enumerate(kids):
+            table[raw[s[0]]] = j
+        self._ids, self._level = raw.translate(table), kids
+        self._fork = {j for j, s in enumerate(kids) if ids[s[0] + 1] in branched}
+        self._n = n + 1
+
+    def _arrays(self):
+        """The id level's stats, each with its starts appended."""
+        ids = self._ids
+        return [[*s, _starts(ids, v) if self._n else range(len(ids))]
+                for v, s in enumerate(self._level)]
+
+    def _advance_arrays(self):
+        n, codes, branched = self._n, self._codes, self._branched
+        end = len(codes) - n  # a length-n factor starting here has no next letter
+        nxt = codes[n:]
         level, self._branched = [], set()
         for entry in self._level:
             first, last, _, _, pos = entry
             stop = len(pos) - (last == end)
-            if stop > 1 and text[first + 1:first + n] in branched:
+            if stop > 1 and codes[first + 1:first + n] in branched:
                 groups = _split(pos, stop, nxt)
                 if len(groups) > 1:
-                    self._branched.add(text[first:first + n])
+                    self._branched.add(codes[first:first + n])
                 level.extend(map(_entry, groups))
             elif stop == len(pos):
                 level.append(entry)
@@ -207,10 +276,12 @@ class FactorIndex:
 
     def positions(self, n):
         """factor -> its ascending start positions at length n, in order of
-        first occurrence: an array('i') owned by the index (read, do not
-        modify), or a range for the empty factor at n = 0."""
-        text = self._text
-        return {text[e[0]:e[0] + n]: e[4] for e in self._at(n)}
+        first occurrence: an array('i') (read, do not modify), or a range for
+        the empty factor at n = 0."""
+        text, level = self._text, self._at(n)
+        if level and self._ids is not None:
+            level = self._arrays()
+        return {text[e[0]:e[0] + n]: e[4] for e in level}
 
 
 def _factor_stats(text, n):
@@ -411,16 +482,18 @@ def is_cube_free(w):
     """Whether no non-empty u has uuu as a factor of w.
 
     A cube of period p is 2p letters x with w[x] = w[x + p]: there the letter
-    codes (Alphabet.encode; one byte each, or four for an alphabet of more
-    than 256 symbols), read as a number, XOR their shift by p to zero.
+    codes (one byte each, or four when more than 256 distinct letters
+    occur), read as a number, XOR their shift by p to zero.
     Below _SHORT_PERIOD, one find over that XOR of the whole word gives the
     leftmost cube.  A longer cube holds an anchor t = kp (k >= 1) with equal
     p-blocks, so equal first windows; only anchors whose window names match
     get the exact block compare and the XOR over w[t-p:t+3p].  The witness
     has the least period, then leftmost start.
     """
-    text = w.alphabet.encode(w.symbols)
-    if len(w.alphabet) <= 256:
+    text, k = w.alphabet.encode(w.symbols), len(w.alphabet)
+    if k > 256:  # the letters that occur may still fit a byte
+        k, text = _numbered(text)
+    if k <= 256:
         codes, width = text.encode("latin-1"), 1
     else:
         codes, width = text.encode("utf-32-be", "surrogatepass"), 4
@@ -471,13 +544,14 @@ def pr_upper_estimate(seq, horizon, n_max):
     first such cut c (stopping at the first c with horizon - c < n_max) for
     which check_sap(seq.suffix(c), horizon - c, n_max) passes.
 
-    The prefix is encoded once, into one FactorIndex.  Per factor length n,
-    each cut still alive reads every factor's first and last start past it
-    by one bisection of the factor's starts and is judged by the same
-    per-factor rule as check_sap.  The factor's widest start-gap stands in
-    for the widest one past the cut, which it bounds; the gaps past the cut
-    are scanned only when that gap opens before the cut and the factor fails
-    with it.  A cut is dropped at its first failing factor.
+    The prefix is encoded once, into one FactorIndex whose levels are kept.
+    Each cut is judged at n = 1, 2, ... until its first failing factor, so
+    only once every smaller cut has failed; per factor, by the per-factor
+    rule of check_sap, from its first start past the cut (one find in the
+    level's ids, or one bisection of its starts).  The factor's widest
+    start-gap stands in for the widest one past the cut, which it bounds;
+    the gaps past the cut are scanned only when that gap opens before the
+    cut and the factor fails with it.
 
     At a finite n_max, a sequence with no uniformly recurrent suffix can
     still have a passing cut: every non-recurring factor past that cut may be
@@ -486,29 +560,43 @@ def pr_upper_estimate(seq, horizon, n_max):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    live = [c for c in default_cut_grid(horizon) if horizon - c >= n_max]
-    if not live:
+    cuts = [c for c in default_cut_grid(horizon) if horizon - c >= n_max]
+    if not cuts:
         return None
     index = FactorIndex(_seq_text(seq, 0, horizon - 1))
-    for n in range(1, n_max + 1):
-        factors = list(zip(index.positions(n).values(), index.stats(n).values()))
-        live = [c for c in live if _cut_passes(factors, c, horizon)]
-        if not live:
-            return None
-    return live[0]
+    levels = []
+    for cut in cuts:
+        for n in range(1, n_max + 1):
+            if len(levels) < n:  # the index never changes a level it built
+                level = index._at(n)
+                levels.append((index._ids, level))
+            if not _cut_passes(*levels[n - 1], cut, horizon):
+                break
+        else:
+            return cut
+    return None
 
 
-def _cut_passes(factors, cut, horizon):
-    """Whether every factor starting at or past cut passes its suffix's rule."""
+def _cut_passes(ids, level, cut, horizon):
+    """Whether every factor of a level (ids None: of arrays) starting at or
+    past cut passes its suffix's rule."""
     fault = _sap_rule(horizon - cut)
-    for pos, (_, last, maxgap, gap_prev) in factors:
+    for v, (_, last, maxgap, gap_prev, *pos) in enumerate(level):
         if last < cut:
             continue  # the factor starts only before the cut
-        k = bisect_left(pos, cut)
-        kind = fault(pos[k] - cut, last - cut, maxgap)
+        if ids is None:
+            k = bisect_left(pos[0], cut)
+            start = pos[0][k]
+        else:
+            start = ids.find(v, cut)
+        kind = fault(start - cut, last - cut, maxgap)
         if kind == "gap" and gap_prev < cut:
             # the widest gap opens before the cut: judge the gaps past it
-            kind = fault(pos[k] - cut, last - cut, _widest_gap(pos, k)[0])
+            if ids is None:
+                widest = _widest_gap(pos[0], k)[0]
+            else:
+                widest = _byte_stats(ids[start:], v)[2]
+            kind = fault(start - cut, last - cut, widest)
         if kind:
             return False
     return True

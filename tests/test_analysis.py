@@ -187,6 +187,116 @@ def test_factor_index_reads_gaps_across_position_slices():
     assert FactorIndex(text).stats(1)["a"] == [0, 4200, 6, 4095]
 
 
+def factor_positions_per_position(text, n):
+    """Reference factor starts: factor -> its ascending starts, in order of
+    first occurrence."""
+    starts = {}
+    for i in range(len(text) - n + 1):
+        starts.setdefault(text[i:i + n], []).append(i)
+    return starts
+
+
+def _assert_positions_match(index, text, n):
+    got = index.positions(n)
+    want = factor_positions_per_position(text, n)
+    assert list(got) == list(want), (text, n)
+    for key, pos in got.items():
+        if n == 0:
+            assert pos == range(len(text) + 1)
+        else:
+            assert pos.typecode == "i" and pos.tolist() == want[key], (text, n, key)
+
+
+def test_factor_index_positions_match_per_position_scan_on_seeded_texts():
+    rng = random.Random(20261019)
+    paths = set()
+    for i in range(1000):
+        letters = "abcdefgh"[:rng.randint(1, 8)]
+        length = rng.randint(1, 300 if i % 100 == 0 else 40)
+        if i % 2:
+            period = "".join(rng.choice(letters) for _ in range(rng.randint(1, 9)))
+            text = (period * length)[:length]
+        else:
+            text = "".join(rng.choice(letters) for _ in range(length))
+        index = FactorIndex(text)
+        ns = list(range(length + 2))
+        if i % 5 == 0:
+            # a smaller n after a larger one rebuilds the index
+            ns += [rng.randint(0, length)]
+        for n in ns:
+            # stats, positions or both, from one index moving forward
+            ask = rng.choice(("stats", "positions", "both", "both"))
+            if ask != "positions":
+                assert list(index.stats(n).items()) == list(
+                    factor_stats_per_position(text, n).items()), (text, n)
+            if ask != "stats":
+                _assert_positions_match(index, text, n)
+            paths.add("ids" if index._ids is not None else "arrays")
+    assert paths == {"ids", "arrays"}
+
+
+def _de_bruijn(k, order):
+    """A de Bruijn word over chr(97)..: every word of the length `order`
+    over k letters occurs in it exactly once."""
+    a, word = [0] * k * order, []
+
+    def db(t, p):
+        if t > order:
+            if order % p == 0:
+                word.extend(a[1:p + 1])
+        else:
+            a[t] = a[t - p]
+            db(t + 1, p)
+            for j in range(a[t - p] + 1, k):
+                a[t] = j
+                db(t + 1, t)
+
+    db(1, 1)
+    word += word[:order - 1]
+    return "".join(chr(97 + j) for j in word)
+
+
+@pytest.mark.parametrize("k, order", [(2, 8), (4, 4), (16, 2)])
+def test_factor_index_builds_ids_up_to_256_factor_children(k, order):
+    # at n = order - 1 every factor occurs and F * k is exactly 256, so the
+    # level of length `order` is still built as ids, and uses byte 255
+    text = _de_bruijn(k, order)
+    index = FactorIndex(text)
+    assert len(index.stats(order - 1)) * k == 256
+    assert len(index.stats(order)) == 256 and index._ids is not None
+    assert index.stats(order + 1) and index._ids is None  # handed off
+    _assert_index_matches(FactorIndex(text), text, range(len(text) + 1))
+    for n in range(len(text) + 1):
+        _assert_positions_match(index, text, n)
+
+
+def test_factor_index_and_cube_search_number_the_letters_that_occur():
+    # level 1 is built as ids from 256 distinct letters, as arrays from 257
+    for k in (256, 257):
+        text = "".join(map(chr, range(0x100, 0x100 + k))) * 2
+        index = FactorIndex(text)
+        index.stats(1)
+        assert (index._ids is None) == (k > 256)
+        _assert_index_matches(index, text, [*range(6), k, k + 1])
+    # two of 300 symbols: the letters, not the alphabet, choose the ids
+    tm = thue_morse()
+    wide = ap.FuncSequence(Alphabet(range(300)), lambda i: 299 * int(tm.at(i)))
+    text = _seq_text(wide, 0, 2 ** 12 - 1)
+    assert set(text) == {chr(0), chr(299)}
+    index = FactorIndex(text)
+    for n in range(13):
+        assert list(index.stats(n).items()) == list(
+            factor_stats_per_position(text, n).items())
+        _assert_positions_match(index, text, n)
+        assert index._ids is not None
+    w = read(wide, 0, 2 ** 12 - 1)
+    assert is_cube_free(w) == cube_scan_per_letter(w) == Verdict("pass", 2 ** 12)
+    for i, p in ((5, 1), (1000, 70)):  # a short and a long period
+        cube = Word(w.alphabet, _plant(w.symbols, i, p, 2 * p))
+        assert is_cube_free(cube) == cube_scan_per_letter(cube)
+        assert is_cube_free(cube).status == "fail"
+
+
 def test_empirical_regulator_refines_once_and_tables_what_was_asked():
     text = _seq_text(thue_morse(), 0, 2 ** 16 - 1)
     B = empirical_regulator(thue_morse(), 2 ** 16)

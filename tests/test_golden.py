@@ -1,5 +1,6 @@
-"""The golden CLI corpus: every invocation in tests/golden/cli.json prints
-exactly what the corpus records.  Regenerate it with tests/golden/regen.py."""
+"""The golden corpus: every invocation in tests/golden/cli.json prints exactly
+what the corpus records, and every library call in tests/golden/library.json
+returns it.  Regenerate both with tests/golden/regen.py."""
 
 import importlib.util
 import json
@@ -13,6 +14,7 @@ regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
 CASES = json.loads(regen.CORPUS.read_text())
+RECORDS = json.loads(regen.LIBRARY.read_text())
 
 
 def test_corpus_covers_every_invocation():
@@ -23,3 +25,16 @@ def test_corpus_covers_every_invocation():
 def test_cli_output_matches_corpus(tmp_path, case):
     regen.copy_inputs(tmp_path)
     assert regen.run(case["argv"], tmp_path) == case
+
+
+def test_library_corpus_covers_every_call():
+    assert [{k: v for k, v in r.items() if k != "result"} for r in RECORDS] == \
+        regen.library_calls()
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[
+    f"{r['op']} {r['spec']} {r.get('reg', '-')} {r['horizon']} {r['n_max']}"
+    for r in RECORDS])
+def test_library_output_matches_corpus(record):
+    call = {k: v for k, v in record.items() if k != "result"}
+    assert regen.library_record(call) == record
