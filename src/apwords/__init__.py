@@ -42,10 +42,9 @@ _EXPORTS = {
         "transducer_decompose", "transducer_run",
     ),
     "analysis": (
-        "Counterexample", "EmpiricalRegulator", "Verdict", "aligned_occurrences",
-        "check_regulator", "check_sap", "default_cut_grid", "empirical_regulator",
-        "is_cube_free", "occurrences", "pr_upper_estimate", "verdict_fields",
-        "verdict_tsv",
+        "Counterexample", "EmpiricalRegulator", "Verdict", "check_regulator",
+        "check_sap", "default_cut_grid", "empirical_regulator", "is_cube_free",
+        "occurrences", "pr_upper_estimate", "verdict_fields", "verdict_tsv",
     ),
 }
 _MODULE = {name: module for module, names in _EXPORTS.items() for name in names}

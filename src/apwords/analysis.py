@@ -76,13 +76,6 @@ def occurrences(x, seq, lo, hi):
     return starts
 
 
-def aligned_occurrences(x, seq, k, lo, hi):
-    """The occurrences whose start index is divisible by k."""
-    if k < 1:
-        raise ValueError("alignment modulus must be >= 1")
-    return [i for i in occurrences(x, seq, lo, hi) if i % k == 0]
-
-
 # Positions are held in array('i') and turned into Python ints this many at
 # a time, so no pass builds a list as long as the text.
 _SLICE = 4096
@@ -206,9 +199,10 @@ class FactorIndex:
         if ids is not None and len(self._level) * k > 256:  # hand off to arrays
             self._branched = {self._codes[s[0] + 1:s[0] + n]
                               for v, s in enumerate(self._level) if v in fork}
-            self._level, self._ids = self._arrays(), None
+            self._level = [[*s, _starts(ids, v)] for v, s in enumerate(self._level)]
+            self._ids = None
         if self._ids is None:
-            return self._advance_arrays()
+            return self._advance_starts()
         size = len(ids) - 1  # the factor starting at size has no next letter
         raw = (int.from_bytes(ids[:-1], "big") * k + int.from_bytes(
             self._codes[n:].encode("latin-1"), "big")).to_bytes(size, "big")
@@ -233,13 +227,7 @@ class FactorIndex:
         self._fork = {j for j, s in enumerate(kids) if ids[s[0] + 1] in branched}
         self._n = n + 1
 
-    def _arrays(self):
-        """The id level's stats, each with its starts appended."""
-        ids = self._ids
-        return [[*s, _starts(ids, v) if self._n else range(len(ids))]
-                for v, s in enumerate(self._level)]
-
-    def _advance_arrays(self):
+    def _advance_starts(self):
         n, codes, branched = self._n, self._codes, self._branched
         end = len(codes) - n  # a length-n factor starting here has no next letter
         nxt = codes[n:]
@@ -260,28 +248,21 @@ class FactorIndex:
         self._level, self._n = level, n + 1
 
     def _at(self, n):
+        """(ids, entries) of level n: ids None once entries hold their starts
+        as a fifth field; no entries past the text's length."""
         if n < 0:
             raise ValueError("factor length must be >= 0")
         if n < self._n:
             self._reset()
         while self._n < n and self._level:
             self._advance()
-        return self._level if self._n == n else []
+        return self._ids, self._level
 
     def stats(self, n):
         """factor -> [first, last, maxgap, gap_prev] at length n, in order of
         first occurrence (fresh lists)."""
         text = self._text
-        return {text[e[0]:e[0] + n]: e[:4] for e in self._at(n)}
-
-    def positions(self, n):
-        """factor -> its ascending start positions at length n, in order of
-        first occurrence: an array('i') (read, do not modify), or a range for
-        the empty factor at n = 0."""
-        text, level = self._text, self._at(n)
-        if level and self._ids is not None:
-            level = self._arrays()
-        return {text[e[0]:e[0] + n]: e[4] for e in level}
+        return {text[e[0]:e[0] + n]: e[:4] for e in self._at(n)[1]}
 
 
 def _factor_stats(text, n):
@@ -568,8 +549,7 @@ def pr_upper_estimate(seq, horizon, n_max):
     for cut in cuts:
         for n in range(1, n_max + 1):
             if len(levels) < n:  # the index never changes a level it built
-                level = index._at(n)
-                levels.append((index._ids, level))
+                levels.append(index._at(n))
             if not _cut_passes(*levels[n - 1], cut, horizon):
                 break
         else:

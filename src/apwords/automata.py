@@ -338,8 +338,7 @@ def block_automaton(auto, sr):
     """
     if sr.marker not in auto.input_alphabet:
         raise AlphabetError(f"marker {sr.marker!r} unknown to the automaton")
-    succ = {auto.delta[(q, sr.marker)][0] for q in auto.states}
-    states = tuple(q for q in auto.states if q in succ)
+    states = letter_images(auto)[sr.marker]
 
     delta = {}
     outputs = {}

@@ -12,7 +12,6 @@ from apwords import (
     Counterexample,
     Regulator,
     Verdict,
-    aligned_occurrences,
     check_regulator,
     check_sap,
     default_cut_grid,
@@ -34,7 +33,7 @@ from apwords import (
     verdict_tsv,
     word,
 )
-from apwords.analysis import FactorIndex, _factor_stats, _seq_text
+from apwords.analysis import FactorIndex, _factor_stats, _seq_text, _widest_gap
 from apwords.words import Word
 
 
@@ -63,20 +62,12 @@ def test_occurrences_overlapping():
     assert occurrences(word("11"), seq, 0, 4) == [0, 1, 2, 3, 4]
 
 
-def test_aligned_occurrences():
-    seq = periodic(word("1001110011", ap.BINARY))
-    assert aligned_occurrences(word("10011"), seq, 5, 0, 5) == [0, 5]
-    assert aligned_occurrences(word("10011"), seq, 1, 0, 5) == [0, 5]
-    assert aligned_occurrences(word("10011"), seq, 3, 0, 5) == [0]
-
-
 def test_block_alignment_in_quintuple_suffix():
     # past the first level-0 run, level-1 blocks repeat with period 5; all
     # occurrences in the next level window are aligned to that grid
     suf = make_sequence("suffix:4:thm21")
     occ = occurrences(word("10011"), suf, 0, 20)
     assert occ == [0, 5, 10, 15, 20]
-    assert aligned_occurrences(word("10011"), suf, 5, 0, 20) == occ
 
 
 def test_empirical_regulator_tm():
@@ -174,16 +165,20 @@ def test_factor_index_matches_per_position_scan_on_thue_morse():
     text = _seq_text(thue_morse(), 0, 2 ** 16 - 1)
     index = FactorIndex(text)
     _assert_index_matches(index, text, [*range(1, 13), 88])
-    for key, pos in index.positions(88).items():
-        assert pos[0] == text.find(key) and pos[-1] == text.rfind(key)
+    _assert_positions_match(index, text, 88)
     assert _factor_stats(text, 5) == factor_stats_per_position(text, 5)
 
 
 def test_factor_index_reads_gaps_across_position_slices():
     # "a" has 4196 starts; its widest gap (4095 -> 4101) spans the first
-    # 4096-start slice edge, as do the starts of "aa" it is split into
-    text = "a" * 4096 + "b" * 5 + "a" * 100
-    _assert_index_matches(FactorIndex(text), text, range(1, 4))
+    # 4096-start slice edge, as do the starts of "aa" it is split into.  The
+    # 257 letters after them make every level, from level 0 on, hold arrays
+    text = "a" * 4096 + "b" * 5 + "a" * 100 + "".join(map(chr, range(0x100, 0x201)))
+    index = FactorIndex(text)
+    _assert_index_matches(index, text, range(1, 5))
+    for n in range(1, 5):
+        _assert_positions_match(index, text, n)
+        assert index._at(n)[0] is None
     assert FactorIndex(text).stats(1)["a"] == [0, 4200, 6, 4095]
 
 
@@ -197,14 +192,20 @@ def factor_positions_per_position(text, n):
 
 
 def _assert_positions_match(index, text, n):
-    got = index.positions(n)
+    """Level n of the index against the reference starts: on an id level,
+    ids[i] numbers the factor starting at i in order of first occurrence; on
+    an array level, each entry's fifth field holds its factor's starts."""
+    ids, level = index._at(n)
     want = factor_positions_per_position(text, n)
-    assert list(got) == list(want), (text, n)
-    for key, pos in got.items():
-        if n == 0:
-            assert pos == range(len(text) + 1)
-        else:
-            assert pos.typecode == "i" and pos.tolist() == want[key], (text, n, key)
+    keys = [text[e[0]:e[0] + n] for e in level]
+    assert keys == list(want), (text, n)
+    if ids is not None:
+        number = {key: v for v, key in enumerate(keys)}
+        assert list(ids) == [number[text[i:i + n]]
+                             for i in range(len(text) - n + 1)], (text, n)
+        return
+    for key, e in zip(keys, level):
+        assert e[4].typecode == "i" and e[4].tolist() == want[key], (text, n, key)
 
 
 def test_factor_index_positions_match_per_position_scan_on_seeded_texts():
@@ -804,6 +805,33 @@ def test_pr_estimate_judges_gaps_past_the_cut_only():
     assert pr_upper_estimate(seq, 4096, 2) == pr_by_cuts(seq, 4096, 2) == 128
 
 
+def test_pr_estimate_rescans_gaps_past_the_cut_on_array_levels(monkeypatch):
+    # 257 distinct letters after "0" make every level an array level; "0"
+    # then recurs only in the period, so its widest gap opens at 0, before
+    # every cut but 0, and is rescanned from the cut's first start on
+    rescans = []
+
+    def spy(pos, lo=0):
+        rescans.append(lo)
+        return _widest_gap(pos, lo)
+
+    monkeypatch.setattr("apwords.analysis._widest_gap", spy)
+    rng = random.Random(16)
+    wide = Alphabet(range(300))
+    estimates = set()
+    for _ in range(6):
+        head = (0, *rng.sample(range(2, 300), 257), *[1] * rng.randint(800, 1500))
+        period = (0, *(rng.randrange(2) for _ in range(rng.randint(1, 6))))
+        seq = prepend(Word(wide, head), periodic(Word(wide, period)))
+        horizon, n_max = rng.choice((2048, 4096)), rng.randint(1, 3)
+        rescans.clear()
+        got = pr_upper_estimate(seq, horizon, n_max)
+        assert any(rescans), (horizon, n_max)
+        assert got == pr_by_cuts(seq, horizon, n_max), (horizon, n_max)
+        estimates.add(got)
+    assert len(estimates) > 1
+
+
 def test_pr_estimate_thm21_at_cap_60():
     h = 5 ** 6
     assert pr_upper_estimate(thm21(), h, 60) == pr_by_cuts(thm21(), h, 60) == 128
@@ -815,6 +843,8 @@ def test_pr_estimate_errors_match_per_cut_definition():
         got = _outcome(pr_upper_estimate, tm, 256, n_max)
         assert got == _outcome(pr_by_cuts, tm, 256, n_max), n_max
         assert got[0] is ValueError
+    # no cut can be judged when the horizon is below n_max
+    assert pr_upper_estimate(tm, 4, 8) is None and pr_by_cuts(tm, 4, 8) is None
 
 
 def test_verdict_report_shape():

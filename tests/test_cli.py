@@ -215,6 +215,14 @@ def test_scheme_validate(capsys, tmp_path):
     )
     assert code == 1
     assert "strengthened\tfail" in out
+    # a label missing from an image fails the basic check, and gen rejects it
+    sch = str(Path(__file__).parent / "schemes" / "missing-label.scheme")
+    code, out = run_cli(capsys, ["scheme-validate", "--scheme", sch])
+    assert code == 1
+    assert out.splitlines() == [
+        "basic\tfail", "failure\tlabel 'C' missing from image of 'A'"]
+    code, out = run_cli(capsys, ["gen", "--spec", f"scheme:{sch}", "--count", "4"])
+    assert code == 2 and out == ""
 
 
 def test_decompose_roundtrip(capsys, tmp_path):
@@ -546,7 +554,7 @@ Alphabet AlphabetError ApwordsError Automaton BINARY Counterexample
 EmpiricalRegulator FiniteOutputError FuncSequence Homomorphism
 InvariantViolation ReductionReport ReductionStep Regulator ResourceLimitError
 SchemeError SchemeSpec SequenceHandle SpecNode SpecParseError SplitResult
-StreamSequence TauSpec Transducer Verdict Word aligned_occurrences analysis
+StreamSequence TauSpec Transducer Verdict Word analysis
 automata automaton_text block_automaton check_regulator check_sap complement
 cyclic_automaton default_cut_grid empirical_regulator errors hom_apply
 homomorphism_text identity_plus infinite_letters is_cube_free is_reversible
@@ -592,7 +600,7 @@ def test_every_public_name_resolves():
 def test_star_import_and_unknown_names():
     namespace = {}
     exec("from apwords import *", namespace)
-    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert set(PUBLIC_NAMES) == set(namespace) - {"__builtins__"}
     with pytest.raises(AttributeError, match="no_such_name"):
         apwords.no_such_name
     with pytest.raises(ImportError):

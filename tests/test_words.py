@@ -1,5 +1,7 @@
 """Sequence constructions, schemes, and the spec mini-language."""
 
+from pathlib import Path
+
 import pytest
 
 import apwords as ap
@@ -11,6 +13,7 @@ from apwords import (
     TauSpec,
     complement,
     make_sequence,
+    parse_scheme_file,
     parse_spec,
     periodic,
     prepend,
@@ -29,6 +32,7 @@ from apwords import (
 )
 
 AB = Alphabet(("A", "B"))
+SCHEMES = Path(__file__).parent / "schemes"
 
 
 def test_thue_morse_prefix():
@@ -271,6 +275,12 @@ def brute_pair_check(spec):
 def test_scheme_validate_basic():
     v = scheme_validate(tm_scheme())
     assert v.basic_ok and v.strengthened_ok is None
+    spec = parse_scheme_file(SCHEMES / "missing-label.scheme")
+    v = scheme_validate(spec)
+    assert not v.basic_ok and not v.ok and v.strengthened_ok is None
+    assert v.failures == ("label 'C' missing from image of 'A'",)
+    with pytest.raises(ap.SchemeError, match="^scheme rejected: label 'C' missing"):
+        scheme_generate(spec)
 
 
 def test_scheme_validate_strengthened_tm_fails():
