@@ -1,5 +1,5 @@
-"""Regenerate the golden corpus, ``cli.json`` and ``library.json`` beside
-this script.
+"""Regenerate the golden corpus, ``cli.json``, ``library.json`` and
+``machines.json`` beside this script.
 
 Usage: ``python3 tests/golden/regen.py`` from the repository root.
 
@@ -13,11 +13,19 @@ factor oracles return: ``check_regulator`` and ``check_sap`` verdicts with
 every witness and the failure count, ``EmpiricalRegulator`` tables and
 ``pr_upper_estimate`` values.
 
+``machines.json`` holds, for every call in ``machine_calls()``, what the
+machine layer returns: reduction reports, split alphabets, offsets and first
+blocks (and those of one nested split), and the letters or the error of
+every read of a ``run``, ``transducer_run`` or ``hom_apply`` stream,
+``FiniteOutputError.produced`` included.
+
 A change that means to alter an output regenerates the corpus, and the
 diff shows every line it alters.
 """
 
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import os
@@ -31,6 +39,7 @@ from unittest import mock
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "cli.json"
 LIBRARY = HERE / "library.json"
+MACHINES = HERE / "machines.json"
 INPUTS = HERE / "inputs"
 
 # The CLI_ARGVS of bench/workloads.py, copied: tests do not import bench/.
@@ -187,6 +196,239 @@ def library_record(call):
         "failures": [_witness(n, ce) for n, ce in v.failures]}}
 
 
+# ---------------------------------------------------------------------------
+# Machine records.  An input is a spec, or one of the index-function and
+# finite inputs below; a regulator is a CLI descriptor, or "B": the empirical
+# regulator of Thue-Morse at 2^16, as the bench's machine jobs use it.
+
+MERGE2 = {"input": "01", "output": "01", "states": ["q0", "q1"], "delta": [
+    ["q0", "0", "q0", "0"], ["q1", "0", "q0", "0"],
+    ["q0", "1", "q1", "1"], ["q1", "1", "q0", "1"]]}
+
+
+@functools.lru_cache(maxsize=None)
+def _regulator(desc):
+    import apwords as ap
+    if desc == "B":
+        tm = ap.make_sequence("tm")
+        return ap.empirical_regulator(tm, 2 ** 16).as_regulator()
+    return ap.parse_regulator(desc)
+
+
+def _input(desc):
+    """The sequence an input descriptor names:
+    ``fold:<letters>``: letter popcount(i) mod k of the letters;
+    ``fails:<n>``: 0101... whose index function raises from n on;
+    ``late:<n>:<letter>``: 0101... up to n - 1, then the letter;
+    ``finite:<letters>:<text>``: the finite stream of text;
+    anything else: a spec."""
+    import apwords as ap
+    kind, _, arg = desc.partition(":")
+    if kind == "fold":
+        return ap.FuncSequence(ap.Alphabet(tuple(arg)),
+                               lambda i: arg[bin(i).count("1") % len(arg)], desc)
+    if kind in ("fails", "late"):
+        n, _, tail = arg.partition(":")
+        n = int(n)
+
+        def fn(i):
+            if i >= n:
+                if kind == "fails":
+                    raise ZeroDivisionError(f"index {i}")
+                return tail
+            return "01"[i % 2]
+        return ap.FuncSequence(ap.BINARY, fn, desc)
+    if kind == "finite":
+        letters, _, text = arg.partition(":")
+        return ap.StreamSequence(ap.Alphabet(tuple(letters)), iter(text), desc)
+    return ap.make_sequence(desc)
+
+
+def _machine(m, cls):
+    """A machine from its JSON description; a transducer's outputs are lists."""
+    import apwords as ap
+    delta = {(q, s): (nxt, out if isinstance(out, str) else tuple(out))
+             for q, s, nxt, out in m["delta"]}
+    return cls(ap.Alphabet(tuple(m["input"])), ap.Alphabet(tuple(m["output"])),
+               m["states"], m["states"][0], delta)
+
+
+def _random_machine(rng, letters, outputs, n_states, word_outputs):
+    """A seeded machine: one-letter outputs, or words of 0-2 letters."""
+    states = [f"q{i}" for i in range(n_states)]
+    delta = []
+    for q in states:
+        for s in letters:
+            if word_outputs:
+                out = [rng.choice(outputs) for _ in range(rng.randint(0, 2))]
+            else:
+                out = rng.choice(outputs)
+            delta.append([q, s, rng.choice(states), out])
+    return {"input": letters, "output": outputs, "states": states, "delta": delta}
+
+
+def _error(exc):
+    out = {"error": type(exc).__name__, "message": str(exc)}
+    if hasattr(exc, "produced"):
+        out["produced"] = exc.produced
+    return out
+
+
+def _digest(symbols):
+    """Length, head and digest of a read: the first 16 letters as text, and a
+    hash of every letter."""
+    names = [s if isinstance(s, str) else repr(s) for s in symbols]
+    return {"len": len(names), "head": " ".join(names[:16]),
+            "sha": hashlib.sha256("\x1f".join(names).encode()).hexdigest()[:16]}
+
+
+def _reads(seq, reads):
+    """The letters, or the error, of each read in turn on one handle."""
+    out = []
+    for i, j in reads:
+        try:
+            out.append(_digest(seq.read(i, j).symbols))
+        except Exception as exc:
+            out.append(_error(exc))
+    return out
+
+
+STREAM_READS = [[0, 63], [4000, 4200], [0, 9999], [12000, 12100]]
+FINITE_READS = [[0, 9], [0, 39], [30, 100], [0, 63]]
+
+
+def machine_calls():
+    """Seeded reductions, marker splits with one nested level, and machine
+    streams over infinite, index-function, failing, finite and stalling
+    inputs."""
+    rng = random.Random("golden-machines")
+    calls = [{"op": "reduce", "input": "tm", "reg": "B", "machine": MERGE2}]
+    for n_states in (1, 2, 3, 4):
+        for _ in range(3):
+            calls.append({"op": "reduce", "input": "tm", "reg": "B",
+                          "machine": _random_machine(rng, "01", "01", n_states,
+                                                     False)})
+    for spec, reg in (("thm21", "thm21"), ("periodic:0010110", "id+c:7")):
+        for n_states in (2, 3, 4):
+            calls.append({"op": "reduce", "input": spec, "reg": reg,
+                          "machine": _random_machine(rng, "01", "01", n_states,
+                                                     False)})
+    for spec, reg in (("tm", "B"), ("tm", "id+c:3"), ("thm21", "thm21"),
+                      ("periodic:0010110", "id+c:7")):
+        for marker in "01":
+            calls.append({"op": "split", "input": spec, "reg": reg,
+                          "marker": marker, "blocks": 256})
+    calls.append({"op": "split", "input": "late:1000:1", "reg": "id+c:3",
+                  "marker": "1", "blocks": 256})
+    for desc in ("tm", "thm21", "fold:abc", "fold:ab", "fails:5000",
+                 "finite:01:0110100110010110100101100110100110010110"):
+        letters = desc[5:] if desc.startswith("fold") else "01"
+        reads = FINITE_READS if desc.startswith("finite") else STREAM_READS
+        for n_states in (1, 2, 4):
+            for with_states in (False, True):
+                calls.append({"op": "run", "input": desc, "with_states": with_states,
+                              "machine": _random_machine(rng, letters, "xy",
+                                                         n_states, False),
+                              "reads": reads})
+            calls.append({"op": "transducer_run", "input": desc,
+                          "stall_limit": 64,
+                          "machine": _random_machine(rng, letters, "xy",
+                                                     n_states, True),
+                          "reads": reads})
+        images = {s: [rng.choice("xy") for _ in range(rng.randint(0, 2))]
+                  for s in letters}
+        calls.append({"op": "hom_apply", "input": desc, "images": images,
+                      "output": "xy", "reg": None, "stall_limit": 64,
+                      "reads": reads})
+    # erasing machines: the output stalls, or ends with a finite input
+    erase = {"input": "01", "output": "01", "states": ["q0", "q1"], "delta": [
+        ["q0", "0", "q1", []], ["q0", "1", "q0", ["1"]],
+        ["q1", "0", "q1", []], ["q1", "1", "q0", ["1", "0"]]]}
+    for desc in ("tm", "late:5:0", "finite:01:110100000011"):
+        for stall_limit in (1, 5, 64):
+            calls.append({"op": "transducer_run", "input": desc,
+                          "stall_limit": stall_limit, "machine": erase,
+                          "reads": [[0, 0], [0, 7], [0, 99]]})
+    for images, reg in (({"0": [], "1": ["1"]}, "B"), ({"0": ["0", "1"], "1": []}, "B"),
+                        ({"0": [], "1": ["1", "0"]}, None)):
+        calls.append({"op": "hom_apply", "input": "tm", "images": images,
+                      "output": "01", "reg": reg, "stall_limit": 64,
+                      "reads": [[0, 15], [0, 4999], [70000, 70063]]})
+    for desc in ("late:3:0", "late:4:0", "late:5:1"):
+        calls.append({"op": "hom_apply", "input": desc, "output": "01",
+                      "images": {"0": [], "1": ["1", "1"]}, "reg": None,
+                      "stall_limit": 3, "reads": [[0, 3], [0, 8], [100, 200]]})
+    return calls
+
+
+def _split_result(sr, blocks):
+    """What a split returns, and its first blocks."""
+    return {"offset": sr.offset, "max_block_len": sr.max_block_len,
+            "alphabet": list(sr.block_alphabet.symbols),
+            "decode": [sr.decode[b].text(" ") for b in sr.block_alphabet],
+            "blocks": _reads(sr.split_sequence, [[0, blocks - 1]])}
+
+
+def _report(rep):
+    final = rep.final_automaton
+    return {"letters": [s.letter for s in rep.steps],
+            "images": [list(s.image) for s in rep.steps],
+            "state_counts": rep.state_counts,
+            "offsets": [s.split_result.offset for s in rep.steps],
+            "max_block_lens": [s.split_result.max_block_len for s in rep.steps],
+            "deleted_letters": [s.deleted_letters for s in rep.steps],
+            "deleted": rep.deleted_prefix_len, "bound": rep.theorem_bound,
+            "final_states": list(final.states), "final_initial": final.initial,
+            "final_delta": [[q, s, final.delta[(q, s)][0]]
+                            for q in final.states for s in final.input_alphabet],
+            "final_outputs": _digest([final.delta[(q, s)][1] for q in final.states
+                                       for s in final.input_alphabet])}
+
+
+def _machine_result(call):
+    import apwords as ap
+    seq = _input(call["input"])
+    op = call["op"]
+    if op == "reduce":
+        auto = _machine(call["machine"], ap.Automaton)
+        return _report(ap.reduce_to_reversible(auto, seq, _regulator(call["reg"])))
+    if op == "split":
+        reg = _regulator(call["reg"])
+        sr = ap.split(seq, call["marker"], reg)
+        out = _split_result(sr, call["blocks"])
+        # one nested level, on every letter of the block alphabet
+        nested_reg = ap.reg_split(reg, sr.max_block_len)
+        out["nested"] = []
+        for b in sr.block_alphabet:
+            try:
+                out["nested"].append(_split_result(
+                    ap.split(sr.split_sequence, b, nested_reg), call["blocks"]))
+            except Exception as exc:
+                out["nested"].append(_error(exc))
+        return out
+    if op == "run":
+        stream = ap.run(_machine(call["machine"], ap.Automaton), seq,
+                        with_states=call["with_states"])
+    elif op == "transducer_run":
+        stream = ap.transducer_run(_machine(call["machine"], ap.Transducer), seq,
+                                   stall_limit=call["stall_limit"])
+    else:
+        h = ap.Homomorphism(seq.alphabet, ap.Alphabet(tuple(call["output"])),
+                            {s: tuple(w) for s, w in call["images"].items()})
+        reg = call["reg"] and _regulator(call["reg"])
+        stream = ap.hom_apply(h, seq, reg, stall_limit=call["stall_limit"])
+    return {"reads": _reads(stream, call["reads"])}
+
+
+def machine_record(call):
+    """call plus the "result" of one machine call, or the error it raised."""
+    try:
+        result = _machine_result(call)
+    except Exception as exc:
+        result = _error(exc)
+    return {**call, "result": result}
+
+
 def main():
     sys.path.insert(0, str(HERE.parents[1] / "src"))
     with tempfile.TemporaryDirectory() as directory:
@@ -197,6 +439,9 @@ def main():
     records = [library_record(call) for call in library_calls()]
     LIBRARY.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} records to {LIBRARY}")
+    records = [machine_record(call) for call in machine_calls()]
+    MACHINES.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {len(records)} records to {MACHINES}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """The golden corpus: every invocation in tests/golden/cli.json prints exactly
 what the corpus records, and every library call in tests/golden/library.json
-returns it.  Regenerate both with tests/golden/regen.py."""
+and machine call in tests/golden/machines.json returns it.  Regenerate all
+three with tests/golden/regen.py."""
 
 import importlib.util
 import json
@@ -15,6 +16,7 @@ _spec.loader.exec_module(regen)
 
 CASES = json.loads(regen.CORPUS.read_text())
 RECORDS = json.loads(regen.LIBRARY.read_text())
+MACHINE_RECORDS = json.loads(regen.MACHINES.read_text())
 
 
 def test_corpus_covers_every_invocation():
@@ -38,3 +40,17 @@ def test_library_corpus_covers_every_call():
 def test_library_output_matches_corpus(record):
     call = {k: v for k, v in record.items() if k != "result"}
     assert regen.library_record(call) == record
+
+
+def _call(record):
+    return {k: v for k, v in record.items() if k != "result"}
+
+
+def test_machine_corpus_covers_every_call():
+    assert [_call(r) for r in MACHINE_RECORDS] == regen.machine_calls()
+
+
+@pytest.mark.parametrize("record", MACHINE_RECORDS, ids=[
+    f"{i} {r['op']} {r['input']}" for i, r in enumerate(MACHINE_RECORDS)])
+def test_machine_output_matches_corpus(record):
+    assert regen.machine_record(_call(record)) == record
