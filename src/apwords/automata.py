@@ -8,7 +8,6 @@ import itertools
 
 from .errors import (
     AlphabetError,
-    FiniteOutputError,
     InvariantViolation,
     ResourceLimitError,
     content_lines,
@@ -23,8 +22,11 @@ DEFAULT_STALL_LIMIT = 2 ** 17
 # Hard cap on letters consumed while closing a block alphabet.
 DEFAULT_SCAN_CAP = 2 ** 24
 
-# Input letters a machine stream pulls from upstream in one range read.
+# Input letters a machine stream pulls from upstream in one range read: as
+# many as the read it serves still needs, but at least _FLOOR and at most
+# _CHUNK.
 _CHUNK = 4096
+_FLOOR = 64
 
 
 class Transducer:
@@ -34,7 +36,8 @@ class Transducer:
     The constructor is the one validator of machines (distinct states, one
     transition for every (state, input) pair and no other) and links the
     machine into rows, ``row[letter] == (next row, output word)``, so that
-    a drive costs one dict lookup per letter from the initial row.
+    a drive costs one dict lookup per letter from the initial row.  Its
+    width is the length of its longest output word.
     """
 
     def __init__(self, input_alphabet, output_alphabet, states, initial, delta):
@@ -45,6 +48,7 @@ class Transducer:
         if len(rows) != len(states):
             raise ValueError("states must be distinct")
         kept = {}
+        width = 0
         for q in states:
             for s in input_alphabet:
                 if (q, s) not in delta:
@@ -58,6 +62,7 @@ class Transducer:
                         raise AlphabetError(f"output {o!r} not in output alphabet")
                 kept[(q, s)] = (nxt, out)
                 rows[q][s] = (rows[nxt], emitted)
+                width = max(width, len(emitted))
         if len(kept) != len(delta):
             q, s = next(k for k in delta if k not in kept)
             raise ValueError(f"transition from ({q!r}, {s!r}) outside the "
@@ -68,6 +73,7 @@ class Transducer:
         self.initial = initial
         self.delta = {k: kept[k] for k in delta}
         self._row = rows[initial]
+        self._width = width
 
     @staticmethod
     def _output(out):
@@ -114,10 +120,8 @@ class Homomorphism(Transducer):
         self.images = {s: self.delta[(None, s)][1] for s in source}
 
     def apply_word(self, w):
-        out = []
-        for s in w:
-            out.extend(self.images[s])
-        return Word(self.target, tuple(out))
+        return Word(self.target, tuple(itertools.chain.from_iterable(
+            map(self.images.__getitem__, w))))
 
 
 def _tracer(machine):
@@ -131,24 +135,34 @@ def _tracer(machine):
 
 
 def _upstream(seq, start=0):
-    """The letters of seq from start on, a range read at a time.
+    """A function need -> the next letters of seq from start on, one range
+    read a call; need is a lower bound on the letters the caller still
+    needs, and the read takes that many, at least _FLOOR and at most _CHUNK.
 
     Once a range read fails (seq ends or fails inside it), the letters come
     one at a time: those before the failing position still come out, and
     the read of that position raises, so a machine stream meets the error
     only where a per-letter reader would.
     """
-    i = start
-    while True:
-        try:
-            letters = seq._read_symbols(i, i + _CHUNK - 1)
-        except Exception:
-            break
-        yield letters
-        i += _CHUNK
-    while True:
-        yield (seq.at(i),)
-        i += 1
+
+    def reads():
+        i = start
+        need = yield
+        while True:
+            n = min(max(need, _FLOOR), _CHUNK)
+            try:
+                letters = seq._read_symbols(i, i + n - 1)
+            except Exception:
+                break
+            need = yield letters
+            i += n
+        while True:
+            yield (seq.at(i),)
+            i += 1
+
+    gen = reads()
+    next(gen)
+    return gen.send
 
 
 def _check_input(machine, seq, noun):
@@ -219,28 +233,25 @@ class SplitResult(_Record, frozen=False):
                   max_block_len, original)
 
 
-def _cut_blocks(letters, marker, tail):
-    """Cut tail + letters after each marker: (complete blocks, new tail)."""
-    blocks = []
-    a = 0
-    try:
-        while True:
-            b = letters.index(marker, a) + 1
-            blocks.append(tail + letters[a:b])
-            tail = ()
-            a = b
-    except ValueError:
-        return blocks, tail + letters[a:]
+def _cut_blocks(text, code, tail):
+    """Cut the letter codes tail + text at each marker code: (the complete
+    blocks, each without its closing marker, and the new tail)."""
+    blocks = (tail + text).split(code)
+    tail = blocks.pop()
+    return blocks, tail
 
 
-def _scan_blocks(seq, marker, start, stop_blocks, stop_letters):
-    """Blocks of seq[start:] ending at each marker, up to either stop."""
+def _scan_blocks(seq, code, start, stop_blocks, stop_letters):
+    """The blocks of seq[start:] ending at each marker, up to either stop,
+    as letter codes without the closing marker.  A block spans at least one
+    letter, so each range read asks for the blocks still needed."""
+    pull = _upstream(seq, start)
     blocks = []
-    tail = ()
+    tail = ""
     pos = start
-    for letters in _upstream(seq, start):
-        letters = letters[:start + stop_letters - pos]
-        cut, tail = _cut_blocks(letters, marker, tail)
+    while True:
+        letters = pull(stop_blocks - len(blocks))[:start + stop_letters - pos]
+        cut, tail = _cut_blocks(seq.alphabet.encode(letters), code, tail)
         blocks += cut
         pos += len(letters)
         if len(blocks) >= stop_blocks or pos - start >= stop_letters:
@@ -264,12 +275,15 @@ def split(seq, marker, reg):
     if marker not in head:
         raise InvariantViolation("marker absent from the first regulator window")
     offset = head.index(marker) + 1
+    # blocks are cut as letter codes, each without its closing marker
+    alphabet = seq.alphabet
+    code = alphabet.encode((marker,))
 
     # phase 1: observe block lengths over one window to size the closure scan
-    probe = _scan_blocks(seq, marker, offset, 2 * r1, 2 * r1 * r1)
+    probe = _scan_blocks(seq, code, offset, 2 * r1, 2 * r1 * r1)
     if not probe:
         raise InvariantViolation("no complete block in the probe window")
-    k_probe = max(len(b) for b in probe)
+    k_probe = max(map(len, probe)) + 1
     closure_blocks = 2 * reg_split(reg, k_probe)(1)
     if closure_blocks * r1 > DEFAULT_SCAN_CAP:
         raise ResourceLimitError(
@@ -278,31 +292,34 @@ def split(seq, marker, reg):
         )
     seen = {}
     order = []
-    for b in _scan_blocks(seq, marker, offset, closure_blocks, DEFAULT_SCAN_CAP):
+    for b in _scan_blocks(seq, code, offset, closure_blocks, DEFAULT_SCAN_CAP):
         if b not in seen:
             seen[b] = f"b{len(order)}"
             order.append(b)
-    max_block_len = max(len(b) for b in order)
+    max_block_len = max(map(len, order)) + 1
     if max_block_len > r1:
         raise InvariantViolation(
             f"block of length {max_block_len} exceeds the regulator window {r1}"
         )
     block_alphabet = Alphabet(tuple(seen[b] for b in order))
-    decode = {seen[b]: Word(seq.alphabet, b) for b in order}
+    decode = {seen[b]: Word(alphabet, alphabet.decode(b + code)) for b in order}
 
     def chunks():
-        tail = ()
-        for letters in _upstream(seq, offset):
-            blocks, tail = _cut_blocks(letters, marker, tail)
+        # a block spans at least one letter: ask for the blocks still needed
+        pull = _upstream(seq, offset)
+        tail = ""
+        out = None
+        while True:
+            need = yield out
+            blocks, tail = _cut_blocks(alphabet.encode(pull(need)), code, tail)
             out = list(map(seen.get, blocks))
             if None in out:
                 k = out.index(None)
                 yield out[:k]
+                block = Word(alphabet, alphabet.decode(blocks[k] + code))
                 raise InvariantViolation(
-                    f"block {Word(seq.alphabet, blocks[k]).text()!r} first seen "
-                    "after the closure scan"
+                    f"block {block.text()!r} first seen after the closure scan"
                 )
-            yield out
 
     split_sequence = StreamSequence._of_chunks(
         block_alphabet, chunks(), description=f"split:{marker}:{seq.description}"
@@ -458,14 +475,21 @@ def reduce_to_reversible(auto, seq, reg):
 # Driving machines: one loop over the linked rows
 
 
-def _transduce(seq, row, stall_limit):
-    """Output chunks of a machine run over seq from a row of its linked
-    rows; the output ends after stall_limit consecutive inputs without
-    output (with None, never)."""
+def _transduce(seq, machine, stall_limit):
+    """The output chunks of a machine run over seq, as a chunk generator of
+    StreamSequence._of_chunks; the output ends after stall_limit consecutive
+    inputs without output (with None, never).  An input emits at most the
+    machine's width letters, so a read that needs n more letters needs at
+    least ceil(n / width) more inputs."""
+    pull = _upstream(seq)
+    row = machine._row
+    width = machine._width
     stalled = 0
-    for letters in _upstream(seq):
+    out = None
+    while True:
+        need = yield out
         out = []
-        for s in letters:
+        for s in pull(-(-need // width) if width else _CHUNK):
             row, o = row[s]
             if o:
                 stalled = 0
@@ -475,7 +499,6 @@ def _transduce(seq, row, stall_limit):
                 if stall_limit is not None and stalled >= stall_limit:
                     yield out
                     return
-        yield out
 
 
 def run(auto, seq, with_states=False):
@@ -489,7 +512,7 @@ def run(auto, seq, with_states=False):
         auto = _tracer(auto)
     mode = "pairs" if with_states else "output"
     return StreamSequence._of_chunks(
-        auto.output_alphabet, _transduce(seq, auto._row, None),
+        auto.output_alphabet, _transduce(seq, auto, None),
         description=f"run[{mode}]:{seq.description}",
     )
 
@@ -498,19 +521,23 @@ def hom_apply(h, seq, reg=None, stall_limit=DEFAULT_STALL_LIMIT):
     """Concatenated image h(seq(0)) h(seq(1)) ...
 
     With a regulator, finiteness of the image is decided up front from the
-    recurrent letters; without one, a read that consumes ``stall_limit``
-    inputs with no output raises the finite-image error lazily.
+    recurrent letters: a finite image is h(seq[0 : r(1) - 1]), as no letter
+    at or past r(1) occurs finitely often.  Without one, a read that
+    consumes ``stall_limit`` inputs with no output ends the image there.
+    Either way a read past the end of a finite image raises
+    FiniteOutputError.
     """
     _check_input(h, seq, "homomorphism")
+    description = f"hom:{seq.description}"
     if reg is not None:
         recurrent = infinite_letters(seq, reg)
         if not any(h.images[s] for s in recurrent):
-            raise FiniteOutputError(0)
+            image = h.apply_word(seq.read(0, reg(1) - 1))
+            return StreamSequence(h.target, image, description)
 
     return StreamSequence._of_chunks(
-        h.target,
-        _transduce(seq, h._row, stall_limit if reg is None else None),
-        description=f"hom:{seq.description}",
+        h.target, _transduce(seq, h, stall_limit if reg is None else None),
+        description=description,
     )
 
 
@@ -520,7 +547,7 @@ def transducer_run(trans, seq, stall_limit=DEFAULT_STALL_LIMIT):
     _check_input(trans, seq, "transducer")
     return StreamSequence._of_chunks(
         trans.output_alphabet,
-        _transduce(seq, trans._row, stall_limit),
+        _transduce(seq, trans, stall_limit),
         description=f"transduce:{seq.description}",
     )
 

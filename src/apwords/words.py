@@ -271,8 +271,11 @@ class _Suffix(SequenceHandle):
 
 
 class FuncSequence(SequenceHandle):
-    """Index-function sequence with chunked prefix memoization; a read that
-    touches a chunk where fn raised calls fn index by index instead."""
+    """Index-function sequence with chunked prefix memoization: a chunk
+    holds its letters up to the last index a read has reached in it.  Fills
+    are serialized, so fn runs once per memoized index even under concurrent
+    reads; a read that touches a chunk where fn raised calls fn index by
+    index instead."""
 
     CHUNK = 4096
 
@@ -281,18 +284,24 @@ class FuncSequence(SequenceHandle):
         self._fn = fn
         self._chunks = {}
         self._failed = set()  # chunks where fn raised
+        self._lock = threading.Lock()
 
-    def _chunk(self, c):
-        chunk = self._chunks.get(c)
-        if chunk is None:
-            base = c * self.CHUNK
-            try:
-                chunk = tuple(map(self._fn, range(base, base + self.CHUNK)))
-            except Exception:
-                self._failed.add(c)
-                raise
-            # idempotent fill: concurrent writers produce identical chunks
-            self._chunks[c] = chunk
+    def _chunk(self, c, hi):
+        """Chunk c, filled at least through its offset hi."""
+        chunk = self._chunks.get(c, ())
+        if len(chunk) > hi:
+            return chunk
+        with self._lock:
+            chunk = self._chunks.get(c, ())
+            if len(chunk) <= hi:
+                base = c * self.CHUNK
+                fill = range(base + len(chunk), base + hi + 1)
+                try:
+                    chunk += tuple(map(self._fn, fill))
+                except Exception:
+                    self._failed.add(c)
+                    raise
+                self._chunks[c] = chunk
         return chunk
 
     def _read_symbols(self, i, j):
@@ -301,10 +310,11 @@ class FuncSequence(SequenceHandle):
         if self._failed.isdisjoint(range(c, last + 1)):
             try:
                 if c == last:
-                    return self._chunk(c)[lo:hi + 1]
-                parts = [self._chunk(c)[lo:]]
-                parts += map(self._chunk, range(c + 1, last))
-                parts.append(self._chunk(last)[:hi + 1])
+                    return self._chunk(c, hi)[lo:hi + 1]
+                full = self.CHUNK - 1
+                parts = [self._chunk(c, full)[lo:]]
+                parts += (self._chunk(k, full) for k in range(c + 1, last))
+                parts.append(self._chunk(last, hi)[:hi + 1])
                 return tuple(itertools.chain.from_iterable(parts))
             except Exception:  # read index by index below, raising where fn does
                 pass
@@ -322,7 +332,8 @@ class StreamSequence(SequenceHandle):
 
     def __init__(self, alphabet, iterator, description=""):
         super().__init__(alphabet, description)
-        self._it = iter(iterator)
+        it = iter(iterator)
+        self._pull = lambda need: next(it)
         self._buf = []
         self._grow = self._buf.append
         self._done = False
@@ -331,19 +342,25 @@ class StreamSequence(SequenceHandle):
 
     @classmethod
     def _of_chunks(cls, alphabet, chunks, description=""):
-        """A stream fed by an iterator of letter lists, one extend per list."""
-        stream = cls(alphabet, chunks, description)
+        """A stream fed by a generator of letter lists, one extend per list.
+        The generator is run here to its first yield, whose value is
+        dropped; then each fill sends it the number of letters the read
+        still needs, and extends the buffer with the list it yields."""
+        stream = cls(alphabet, (), description)
+        next(chunks)
+        stream._pull = chunks.send
         stream._grow = stream._buf.extend
         return stream
 
     def _ensure(self, n):
         """Fill the buffer past position n, or as far as the generator goes."""
-        if len(self._buf) > n:
+        buf = self._buf
+        if len(buf) > n:
             return
         with self._lock:
-            while len(self._buf) <= n and not self._done:
+            while len(buf) <= n and not self._done:
                 try:
-                    self._grow(next(self._it))
+                    self._grow(self._pull(n + 1 - len(buf)))
                 except StopIteration:
                     self._done = True
                 except Exception as exc:

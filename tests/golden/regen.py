@@ -237,6 +237,7 @@ def _input(desc):
                     raise ZeroDivisionError(f"index {i}")
                 return tail
             return "01"[i % 2]
+
         return ap.FuncSequence(ap.BINARY, fn, desc)
     if kind == "finite":
         letters, _, text = arg.partition(":")

@@ -1,6 +1,8 @@
 """Automata, transducers, homomorphisms, splits, and the reversible reduction."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -258,6 +260,19 @@ def test_hom_apply_erasing_is_finite():
     h = Homomorphism(BIN, BIN, {"0": (), "1": ()})
     with pytest.raises(ap.FiniteOutputError):
         hom_apply(h, thue_morse(), tm_empirical()).at(0)
+
+
+def test_hom_apply_finite_image_with_a_regulator():
+    # 1, the only recurrent letter, is erased: the image is finite, and it is
+    # h(seq[0 : r(1) - 1]) = h(0011) = 11, what the stall path reads too
+    h = Homomorphism(BIN, BIN, {"0": ("1",), "1": ()})
+    seq = prepend("00", periodic(word("1", BIN)))
+    for out in (hom_apply(h, seq, ap.identity_plus(3)), hom_apply(h, seq)):
+        assert read(out, 0, 1).text() == "11"
+        for _ in range(2):
+            with pytest.raises(ap.FiniteOutputError) as exc:
+                read(out, 1, 2)
+            assert exc.value.produced == 2
 
 
 def test_hom_apply_partial_erasure():
@@ -580,6 +595,89 @@ def test_run_over_a_failing_index_function_stops_at_the_failure():
     # the letter-by-letter reads after the failed range read do not refill
     # the failing chunk once per letter
     assert len(calls) < 2 * ap.FuncSequence.CHUNK
+
+
+# ---------------------------------------------------------------------------
+# Read volumes: a machine stream pulls only as far as its reader needs
+
+# a run reads 10^4 letters in pulls of 4096, 4096 and 1808 inputs; a pull
+# asks for at least 64 inputs, so no read of n letters fills more than n + 63
+RUN_FN_CALLS = 10 ** 4 + 63
+# Thue-Morse letters read to split TM on 0, split its blocks on b0, and read
+# 1000 blocks of that (6224 measured), a pull asking for the blocks still
+# needed at each level
+NESTED_SPLIT_TM_LETTERS = 6300
+
+
+def counted_thue_morse(calls):
+    """Thue-Morse by an index function that records each index it is called
+    with."""
+
+    def fn(i):
+        calls.append(i)
+        return "01"[bin(i).count("1") % 2]
+
+    return ap.FuncSequence(BIN, fn, "counted Thue-Morse")
+
+
+def test_run_fills_each_index_once_and_none_far_past_the_read():
+    calls = []
+    out = run(swap_automaton(), counted_thue_morse(calls))
+    tm_letters = read(thue_morse(), 0, 9999).symbols
+    assert read(out, 0, 9999).symbols == tuple(ref_run(swap_automaton(), tm_letters))
+    assert len(calls) <= RUN_FN_CALLS
+    assert calls == list(range(len(calls)))
+
+
+def test_nested_split_reads_a_bounded_prefix(monkeypatch):
+    letters = [0]
+    read_symbols = ap.words._FixedPoint._read_symbols
+
+    def counted(self, i, j):
+        letters[0] += j - i + 1
+        return read_symbols(self, i, j)
+
+    monkeypatch.setattr(ap.words._FixedPoint, "_read_symbols", counted)
+    reg = ap.identity_plus(3)
+    outer = split(thue_morse(), "0", reg)
+    inner = split(outer.split_sequence, "b0", ap.reg_split(reg, outer.max_block_len))
+    assert len(read(inner.split_sequence, 0, 999)) == 1000
+    assert letters[0] < NESTED_SPLIT_TM_LETTERS
+
+
+def test_concurrent_reads_agree_and_fill_each_index_once():
+    calls = []
+    base = counted_thue_morse(calls)
+    out = run(xor_automaton(), base)
+    ranges = [(t * 1500, t * 1500 + 7000) for t in range(4)]
+    start = threading.Barrier(len(ranges))
+    results = {}
+
+    def reader(i, j):
+        # many short reads, so that fills of the two handles interleave
+        start.wait(timeout=60)
+        got = [], []
+        for k in range(i, j + 1, 50):
+            for seq, letters in zip((base, out), got):
+                letters += read(seq, k, min(k + 49, j)).symbols
+        results[i] = tuple(map(tuple, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=reader, args=r) for r in ranges]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    tm_letters = read(thue_morse(), 0, 11500).symbols
+    xor = ref_run(xor_automaton(), tm_letters)
+    for i, j in ranges:
+        assert results[i] == (tm_letters[i:j + 1], tuple(xor[i:j + 1]))
+    assert sorted(calls) == list(range(len(calls)))
 
 
 def test_split_probe_window_stops_at_its_letter_cap(monkeypatch):
