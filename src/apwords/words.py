@@ -272,8 +272,9 @@ class _Suffix(SequenceHandle):
 
 class FuncSequence(SequenceHandle):
     """Index-function sequence with chunked prefix memoization: a chunk
-    holds its letters up to the last index a read has reached in it.  Fills
-    are serialized, so fn runs once per memoized index even under concurrent
+    holds its letters up to the last index a read has reached in it, in a
+    list that grows in place, and as a tuple once full.  Fills are
+    serialized, so fn runs once per memoized index even under concurrent
     reads; a read that touches a chunk where fn raised calls fn index by
     index instead."""
 
@@ -292,16 +293,16 @@ class FuncSequence(SequenceHandle):
         if len(chunk) > hi:
             return chunk
         with self._lock:
-            chunk = self._chunks.get(c, ())
+            chunk = self._chunks.setdefault(c, [])
             if len(chunk) <= hi:
                 base = c * self.CHUNK
-                fill = range(base + len(chunk), base + hi + 1)
                 try:
-                    chunk += tuple(map(self._fn, fill))
+                    chunk += map(self._fn, range(base + len(chunk), base + hi + 1))
                 except Exception:
                     self._failed.add(c)
                     raise
-                self._chunks[c] = chunk
+                if len(chunk) == self.CHUNK:
+                    chunk = self._chunks[c] = tuple(chunk)
         return chunk
 
     def _read_symbols(self, i, j):
@@ -310,7 +311,7 @@ class FuncSequence(SequenceHandle):
         if self._failed.isdisjoint(range(c, last + 1)):
             try:
                 if c == last:
-                    return self._chunk(c, hi)[lo:hi + 1]
+                    return tuple(self._chunk(c, hi)[lo:hi + 1])
                 full = self.CHUNK - 1
                 parts = [self._chunk(c, full)[lo:]]
                 parts += (self._chunk(k, full) for k in range(c + 1, last))

@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -609,12 +610,14 @@ RUN_FN_CALLS = 10 ** 4 + 63
 NESTED_SPLIT_TM_LETTERS = 6300
 
 
-def counted_thue_morse(calls):
+def counted_thue_morse(calls, yield_gil=False):
     """Thue-Morse by an index function that records each index it is called
-    with."""
+    with, and optionally lets other threads run at each call."""
 
     def fn(i):
         calls.append(i)
+        if yield_gil:
+            time.sleep(0)
         return "01"[bin(i).count("1") % 2]
 
     return ap.FuncSequence(BIN, fn, "counted Thue-Morse")
@@ -647,7 +650,7 @@ def test_nested_split_reads_a_bounded_prefix(monkeypatch):
 
 def test_concurrent_reads_agree_and_fill_each_index_once():
     calls = []
-    base = counted_thue_morse(calls)
+    base = counted_thue_morse(calls, yield_gil=True)
     out = run(xor_automaton(), base)
     ranges = [(t * 1500, t * 1500 + 7000) for t in range(4)]
     start = threading.Barrier(len(ranges))
