@@ -11,7 +11,8 @@ stderr and exit status of ``apwords`` run in-process through ``cli.main``.
 ``library.json`` holds, for every call in ``library_calls()``, what the
 factor oracles return: ``check_regulator`` and ``check_sap`` verdicts with
 every witness and the failure count, ``EmpiricalRegulator`` tables and
-``pr_upper_estimate`` values.
+``pr_upper_estimate`` values, and ``is_cube_free`` verdicts over the
+first ``horizon`` letters with the period and the witness.
 
 ``machines.json`` holds, for every call in ``machine_calls()``, what the
 machine layer returns: reduction reports, split alphabets, offsets and first
@@ -118,7 +119,7 @@ def copy_inputs(directory):
         shutil.copy(path, directory)
 
 
-# The factor-oracle jobs of bench/workloads.py's oracles-gate list, copied.
+# The oracle jobs of bench/workloads.py's oracles-gate list, copied.
 GATE_CALLS = [
     {"op": "check_regulator", "spec": "thm21", "reg": "thm21",
      "horizon": 5 ** 6, "n_max": 8},
@@ -128,10 +129,12 @@ GATE_CALLS = [
     {"op": "empirical_regulator", "spec": "tm", "horizon": 2 ** 16, "n_max": 12},
     {"op": "pr_upper_estimate", "spec": "thm21", "horizon": 5 ** 6, "n_max": 20},
     {"op": "pr_upper_estimate", "spec": "tm", "horizon": 2 ** 14, "n_max": 12},
+    {"op": "is_cube_free", "spec": "tm", "horizon": 2 ** 15},
+    {"op": "is_cube_free", "spec": "tm", "horizon": 2 ** 16},
 ]
 
 LIBRARY_OPS = ("check_regulator", "check_sap", "empirical_regulator",
-               "pr_upper_estimate")
+               "pr_upper_estimate", "is_cube_free")
 LIBRARY_HORIZONS = (2 ** 9, 2 ** 10, 2 ** 11, 2 ** 12)
 
 
@@ -161,7 +164,9 @@ def library_calls():
         for family in ("periodic", "prepend", "thm21tau", "fixture", "product"):
             for horizon in LIBRARY_HORIZONS:
                 call = {"op": op, "spec": _seeded_spec(rng, family),
-                        "horizon": horizon, "n_max": rng.randint(2, 10)}
+                        "horizon": horizon}
+                if op != "is_cube_free":
+                    call["n_max"] = rng.randint(2, 10)
                 if op == "check_regulator":
                     call["reg"] = rng.choice((
                         f"id+c:{rng.randint(1, 96)}",
@@ -178,9 +183,11 @@ def library_record(call):
     """call plus the "result" of one library call."""
     import apwords as ap
     seq = ap.make_sequence(call["spec"])
-    horizon, n_max = call["horizon"], call["n_max"]
+    horizon, n_max = call["horizon"], call.get("n_max")
     op = call["op"]
-    if op == "check_regulator":
+    if op == "is_cube_free":
+        v = ap.is_cube_free(seq.read(0, horizon - 1))
+    elif op == "check_regulator":
         reg = ap.parse_regulator(call["reg"])
         v = ap.check_regulator(seq, reg, horizon, n_max)
     elif op == "check_sap":

@@ -35,7 +35,7 @@ def test_library_corpus_covers_every_call():
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=[
-    f"{r['op']} {r['spec']} {r.get('reg', '-')} {r['horizon']} {r['n_max']}"
+    f"{r['op']} {r['spec']} {r.get('reg', '-')} {r['horizon']} {r.get('n_max', '-')}"
     for r in RECORDS])
 def test_library_output_matches_corpus(record):
     call = {k: v for k, v in record.items() if k != "result"}
