@@ -29,7 +29,12 @@ class ResourceLimitError(ApwordsError):
 
 
 class FiniteOutputError(ApwordsError):
-    """A derived sequence turned out to be finite; the read is past its end."""
+    """A derived sequence turned out to be finite; the read is past its end.
+
+    ``produced`` counts the letters of the stream that ran out.  A machine
+    stream re-raises its input's error unchanged, so over a finite input it
+    is the input's length, not the number of output letters.
+    """
 
     def __init__(self, produced):
         super().__init__(f"output exhausted after {produced} symbols")

@@ -271,12 +271,12 @@ class _Suffix(SequenceHandle):
 
 
 class FuncSequence(SequenceHandle):
-    """Index-function sequence with chunked prefix memoization: a chunk
-    holds its letters up to the last index a read has reached in it, in a
-    list that grows in place, and as a tuple once full.  Fills are
-    serialized, so fn runs once per memoized index even under concurrent
-    reads; a read that touches a chunk where fn raised calls fn index by
-    index instead."""
+    """Index-function sequence memoized in chunks of CHUNK letters.  Chunk
+    c is a StreamSequence over fn at the indices c * CHUNK onwards, made at
+    its first read, so fn runs once per index however reads interleave, a
+    fill goes only as far as the read, and letters before an index where
+    fn raises stay readable.  A read that meets such an index calls fn
+    index by index instead, and raises where fn does."""
 
     CHUNK = 4096
 
@@ -284,61 +284,56 @@ class FuncSequence(SequenceHandle):
         super().__init__(alphabet, description)
         self._fn = fn
         self._chunks = {}
-        self._failed = set()  # chunks where fn raised
-        self._lock = threading.Lock()
 
-    def _chunk(self, c, hi):
-        """Chunk c, filled at least through its offset hi."""
-        chunk = self._chunks.get(c, ())
-        if len(chunk) > hi:
-            return chunk
-        with self._lock:
-            chunk = self._chunks.setdefault(c, [])
-            if len(chunk) <= hi:
-                base = c * self.CHUNK
-                try:
-                    chunk += map(self._fn, range(base + len(chunk), base + hi + 1))
-                except Exception:
-                    self._failed.add(c)
-                    raise
-                if len(chunk) == self.CHUNK:
-                    chunk = self._chunks[c] = tuple(chunk)
+    def _chunk(self, c):
+        chunk = self._chunks.get(c)
+        if chunk is None:
+            base = c * self.CHUNK
+            chunk = self._chunks.setdefault(c, StreamSequence(
+                self.alphabet, map(self._fn, range(base, base + self.CHUNK))))
         return chunk
 
     def _read_symbols(self, i, j):
         c, lo = divmod(i, self.CHUNK)
         last, hi = divmod(j, self.CHUNK)
-        if self._failed.isdisjoint(range(c, last + 1)):
-            try:
-                if c == last:
-                    return tuple(self._chunk(c, hi)[lo:hi + 1])
-                full = self.CHUNK - 1
-                parts = [self._chunk(c, full)[lo:]]
-                parts += (self._chunk(k, full) for k in range(c + 1, last))
-                parts.append(self._chunk(last, hi)[:hi + 1])
-                return tuple(itertools.chain.from_iterable(parts))
-            except Exception:  # read index by index below, raising where fn does
-                pass
-        return tuple(map(self._fn, range(i, j + 1)))
+        try:
+            if c == last:
+                return self._chunk(c)._read_symbols(lo, hi)
+            full = self.CHUNK - 1
+            return tuple(itertools.chain.from_iterable(
+                self._chunk(k)._read_symbols(lo if k == c else 0,
+                                             hi if k == last else full)
+                for k in range(c, last + 1)))
+        except Exception:  # read index by index below, raising where fn does
+            pass
+        # not map, which would take a StopIteration from fn for its own end
+        return tuple([self._fn(k) for k in range(i, j + 1)])
 
 
 class StreamSequence(SequenceHandle):
-    """Sequence backed by a single generator, buffered as it is consumed.
+    """Sequence backed by a single iterator, buffered as it is consumed.
 
-    The generator may be finite; reads past its end raise FiniteOutputError
-    lazily.  An exception the generator raises is kept, and every read that
-    reaches its position raises it.  Buffer fills are serialized so
-    concurrent reads are safe.
+    A fill takes the letters the read still needs in one extend.  The
+    iterator may be finite; reads past its end raise FiniteOutputError
+    lazily.  An exception the iterator raises is kept, with the letters
+    taken before it, and every read that reaches its position raises it.
+    Buffer fills are serialized so concurrent reads are safe.
     """
 
     def __init__(self, alphabet, iterator, description=""):
         super().__init__(alphabet, description)
+        self._buf = buf = []
         it = iter(iterator)
-        self._pull = lambda need: next(it)
-        self._buf = []
-        self._grow = self._buf.append
+
+        def fill(need):
+            size = len(buf)
+            buf.extend(itertools.islice(it, need))
+            if len(buf) - size < need:
+                raise StopIteration
+
+        self._fill = fill
         self._done = False
-        self._error = None
+        self._error = self._trace = None
         self._lock = threading.Lock()
 
     @classmethod
@@ -349,35 +344,32 @@ class StreamSequence(SequenceHandle):
         still needs, and extends the buffer with the list it yields."""
         stream = cls(alphabet, (), description)
         next(chunks)
-        stream._pull = chunks.send
-        stream._grow = stream._buf.extend
+        send, grow = chunks.send, stream._buf.extend
+        stream._fill = lambda need: grow(send(need))
         return stream
 
     def _ensure(self, n):
-        """Fill the buffer past position n, or as far as the generator goes."""
+        """Fill the buffer past position n, or as far as the iterator goes."""
         buf = self._buf
-        if len(buf) > n:
-            return
         with self._lock:
             while len(buf) <= n and not self._done:
                 try:
-                    self._grow(self._pull(n + 1 - len(buf)))
+                    self._fill(n + 1 - len(buf))
                 except StopIteration:
                     self._done = True
                 except Exception as exc:
-                    self._done = True
-                    self._error = exc
-
-    def _check(self, n):
-        self._ensure(n)
-        if len(self._buf) <= n:
-            if self._error is not None:
-                raise self._error
-            raise FiniteOutputError(len(self._buf))
+                    # raised again from this traceback, so it does not grow
+                    self._done, self._error, self._trace = True, exc, exc.__traceback__
 
     def _read_symbols(self, i, j):
-        self._check(j)
-        return tuple(self._buf[i:j + 1])
+        buf = self._buf
+        if len(buf) <= j:
+            self._ensure(j)
+            if len(buf) <= j:
+                if self._error is not None:
+                    raise self._error.with_traceback(self._trace)
+                raise FiniteOutputError(len(buf))
+        return tuple(buf[i:j + 1])
 
 
 def read(seq, i, j):
@@ -493,11 +485,6 @@ class SchemeSpec(_Record):
         fault = _scheme_fault(labels, rules, decode, start)
         if fault:
             raise SchemeError(fault[1])
-
-    @property
-    def block_length(self):
-        """The length of the start label's image: k for a uniform scheme."""
-        return len(self.rules[self.start])
 
     def base_alphabet(self):
         return Alphabet(dict.fromkeys(self.decode[lab] for lab in self.labels))
@@ -667,7 +654,7 @@ def quintuple_limit():
 
 
 class TauSpec(_Record):
-    """Periodic repetition counts in {4,5}: count(n) is pattern[n mod period]."""
+    """Periodic repetition counts in {4,5}: c_n repeats pattern[n mod period] times."""
 
     __slots__ = ("pattern",)
 
@@ -677,9 +664,6 @@ class TauSpec(_Record):
             raise ValueError("tau pattern must be non-empty")
         if any(v not in (4, 5) for v in pattern):
             raise ValueError("tau values must be in {4, 5}")
-
-    def count(self, n):
-        return self.pattern[n % len(self.pattern)]
 
 
 def thm21():

@@ -34,6 +34,7 @@ from apwords import (
     transducer_run,
     word,
 )
+from conftest import deadline
 
 BIN = ap.BINARY
 
@@ -596,6 +597,28 @@ def test_run_over_a_failing_index_function_stops_at_the_failure():
     # the letter-by-letter reads after the failed range read do not refill
     # the failing chunk once per letter
     assert len(calls) < 2 * ap.FuncSequence.CHUNK
+
+
+def test_index_function_raising_stop_iteration_gives_no_short_read():
+    def fn(i):
+        if i >= 10:
+            raise StopIteration
+        return "01"[i % 2]
+
+    seq = ap.FuncSequence(BIN, fn, "stops at 10")
+    out = run(swap_automaton(), seq)
+    with deadline(10):
+        assert read(seq, 0, 9).text() == "01" * 5
+        with pytest.raises(StopIteration):
+            read(seq, 0, 19)
+        with pytest.raises(StopIteration):
+            seq.at(15)
+        assert read(out, 0, 9).text() == "10" * 5
+        # the machine's generator meets fn's StopIteration: Python raises it
+        # there as a RuntimeError caused by it
+        with pytest.raises(RuntimeError) as exc:
+            read(out, 0, 19)
+        assert isinstance(exc.value.__cause__, StopIteration)
 
 
 # ---------------------------------------------------------------------------

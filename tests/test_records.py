@@ -134,7 +134,6 @@ def test_scheme_spec_compares_labels_and_start_only():
     assert SchemeSpec(BINARY, TM_RULES, IDENTITY, "1") != TM_SCHEME
     assert SchemeSpec(Alphabet("ab"), {"a": "ab", "b": "ba"}, {"a": "0", "b": "1"},
                       "a") != TM_SCHEME
-    assert TM_SCHEME.block_length == 2
 
 
 @pytest.mark.parametrize("rules, start, message", [
@@ -164,4 +163,3 @@ def test_scheme_spec_validation(rules, start, message):
 def test_tau_spec_validation(pattern, message):
     with pytest.raises(ValueError, match=message):
         TauSpec(pattern)
-    assert TauSpec((4, 5, 5)).count(4) == 5

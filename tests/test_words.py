@@ -30,6 +30,7 @@ from apwords import (
     tm_triple_fixture,
     word,
 )
+from conftest import deadline
 
 AB = Alphabet(("A", "B"))
 SCHEMES = Path(__file__).parent / "schemes"
@@ -528,3 +529,25 @@ def test_stream_sequence_keeps_the_generator_error():
     with pytest.raises(ap.InvariantViolation):
         read(s, 3, 7)
     assert read(s, 2, 4).text() == "101"
+
+
+def test_stream_sequence_error_traceback_does_not_grow_with_reads():
+    def gen():
+        yield from "0110100110"
+        raise ZeroDivisionError("letter 10")
+
+    s = ap.StreamSequence(ap.BINARY, gen(), "failing")
+
+    def depth():
+        with pytest.raises(ZeroDivisionError) as exc:
+            s.at(10)
+        tb, n = exc.value.__traceback__, 0
+        while tb is not None:
+            tb, n = tb.tb_next, n + 1
+        return n
+
+    with deadline(10):
+        first = depth()
+        for _ in range(999):
+            last = depth()
+    assert last == first
