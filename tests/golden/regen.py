@@ -6,7 +6,8 @@ Usage: ``python3 tests/golden/regen.py`` from the repository root.
 ``cli.json`` holds, for every invocation in ``argvs()``, the exact stdout,
 stderr and exit status of ``apwords`` run in-process through ``cli.main``.
 ``{dir}`` in an argument stands for a directory holding a copy of
-``inputs/``; the same directory reads back as ``{dir}`` in the outputs.
+``inputs/`` and ``../schemes/``; the same directory reads back as ``{dir}``
+in the outputs.
 
 ``library.json`` holds, for every call in ``library_calls()``, what the
 factor oracles return: ``check_regulator`` and ``check_sap`` verdicts with
@@ -16,9 +17,10 @@ first ``horizon`` letters with the period and the witness.
 
 ``machines.json`` holds, for every call in ``machine_calls()``, what the
 machine layer returns: reduction reports, split alphabets, offsets and first
-blocks (and those of one nested split), and the letters or the error of
+blocks (and those of one nested split), the letters or the error of
 every read of a ``run``, ``transducer_run`` or ``hom_apply`` stream,
-``FiniteOutputError.produced`` included.
+``FiniteOutputError.produced`` included, and the error of loading each bad
+homomorphism file of ``inputs/``.
 
 A change that means to alter an output regenerates the corpus, and the
 diff shows every line it alters.
@@ -42,6 +44,7 @@ CORPUS = HERE / "cli.json"
 LIBRARY = HERE / "library.json"
 MACHINES = HERE / "machines.json"
 INPUTS = HERE / "inputs"
+SCHEMES = HERE.parent / "schemes"
 
 # The CLI_ARGVS of bench/workloads.py, copied: tests do not import bench/.
 CLI_ARGVS = [
@@ -80,6 +83,42 @@ CLI_ARGVS = [
     ["run", "--auto", "{dir}/missing.aut", "--spec", "tm"],
 ]
 
+# Bad input, each file once: machine, transducer, scheme and table-regulator
+# files with a missing, undeclared, repeated or malformed line (the inputs
+# named bad-*), the scheme files of tests/schemes/, and bad regulator
+# descriptors.  Homomorphism files, which no subcommand reads, are machine
+# records.
+BAD_DESCRIPTORS = ["id+c:-5", "id+c:", "id+c:1:2", "lin:0:3", "lin:1:-1",
+                   "lin:1:+2", "thm21:3", "empirical:", "empirical:{dir}/absent.reg"]
+
+
+def _bad(suffix):
+    return sorted(f"{{dir}}/{p.name}" for p in INPUTS.glob(f"bad-*.{suffix}"))
+
+
+def bad_argvs():
+    argvs = [["reduce", "--auto", path, "--spec", "tm", "--reg", "id+c:3"]
+             for path in _bad("aut")]
+    argvs.append(["run", "--auto", "{dir}/bad-arrow.aut", "--spec", "tm"])
+    argvs += [["decompose", "--trans", path] for path in _bad("trans")]
+    argvs += [["scheme-validate", "--scheme", path] for path in _bad("scheme")]
+    argvs += [["scheme-validate", "--scheme", f"{{dir}}/{p.name}", "--strengthened"]
+              for p in sorted(SCHEMES.iterdir())]
+    argvs += [["gen", "--spec", f"scheme:{{dir}}/{name}.scheme", "--count", "4"]
+              for name in ("missing-label", "bad-repeated")]
+    argvs += [["check-regulator", "--spec", "tm", "--reg", f"empirical:{path}",
+               "--horizon", "64", "--nmax", "2"] for path in _bad("reg")]
+    argvs += [["check-regulator", "--spec", "tm", "--reg", reg,
+               "--horizon", "64", "--nmax", "2"] for reg in BAD_DESCRIPTORS]
+    # a table too short for the question asked of it
+    argvs += [["check-regulator", "--spec", "tm", "--reg", "empirical:{dir}/short.reg",
+               "--horizon", "64", "--nmax", "3"],
+              ["split", "--spec", "tm", "--marker", "0",
+               "--reg", "empirical:{dir}/short.reg"],
+              ["split", "--spec", "tm", "--marker", "0", "--reg", "bogus"]]
+    return argvs
+
+
 # Subcommands with a --json report.
 JSON_COMMANDS = {"split", "reduce", "check-regulator", "check-sap",
                  "empirical-regulator", "pr-estimate", "cube-check",
@@ -91,10 +130,15 @@ def _twin(argv):
     return [a for a in argv if a != "--json"] if "--json" in argv else argv + ["--json"]
 
 
+def _with_twins(argvs):
+    """argvs, then the text or --json twin of each line that has one."""
+    twins = [_twin(a) for a in argvs if a[0] in JSON_COMMANDS]
+    return argvs + [t for t in twins if t not in argvs]
+
+
 def argvs():
-    """CLI_ARGVS, then the text or --json twin of each line that has one."""
-    twins = [_twin(a) for a in CLI_ARGVS if a[0] in JSON_COMMANDS]
-    return CLI_ARGVS + [t for t in twins if t not in CLI_ARGVS]
+    """CLI_ARGVS and the bad-input lines, each list with its twins."""
+    return _with_twins(CLI_ARGVS) + _with_twins(bad_argvs())
 
 
 def run(argv, directory):
@@ -115,7 +159,7 @@ def run(argv, directory):
 
 
 def copy_inputs(directory):
-    for path in INPUTS.iterdir():
+    for path in [*INPUTS.iterdir(), *SCHEMES.iterdir()]:
         shutil.copy(path, directory)
 
 
@@ -276,7 +320,8 @@ def _random_machine(rng, letters, outputs, n_states, word_outputs):
 
 
 def _error(exc):
-    out = {"error": type(exc).__name__, "message": str(exc)}
+    out = {"error": type(exc).__name__,
+           "message": str(exc).replace(str(INPUTS), "{dir}")}
     if hasattr(exc, "produced"):
         out["produced"] = exc.produced
     return out
@@ -366,6 +411,9 @@ def machine_calls():
         calls.append({"op": "hom_apply", "input": desc, "output": "01",
                       "images": {"0": [], "1": ["1", "1"]}, "reg": None,
                       "stall_limit": 3, "reads": [[0, 3], [0, 8], [100, 200]]})
+    # bad homomorphism files, which no subcommand reads
+    calls += [{"op": "load_homomorphism", "input": p.name}
+              for p in sorted(INPUTS.glob("bad-*.hom"))]
     return calls
 
 
@@ -395,8 +443,11 @@ def _report(rep):
 
 def _machine_result(call):
     import apwords as ap
-    seq = _input(call["input"])
     op = call["op"]
+    if op == "load_homomorphism":
+        hom = ap.load_homomorphism(INPUTS / call["input"])
+        return {"text": ap.homomorphism_text(hom)}
+    seq = _input(call["input"])
     if op == "reduce":
         auto = _machine(call["machine"], ap.Automaton)
         return _report(ap.reduce_to_reversible(auto, seq, _regulator(call["reg"])))
