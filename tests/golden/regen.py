@@ -85,11 +85,13 @@ CLI_ARGVS = [
 
 # Bad input, each file once: machine, transducer, scheme and table-regulator
 # files with a missing, undeclared, repeated or malformed line (the inputs
-# named bad-*), the scheme files of tests/schemes/, and bad regulator
-# descriptors.  Homomorphism files, which no subcommand reads, are machine
-# records.
+# named bad-*), the scheme files of tests/schemes/, bad regulator
+# descriptors and bad specs.  Homomorphism files, which no subcommand reads,
+# are machine records.
 BAD_DESCRIPTORS = ["id+c:-5", "id+c:", "id+c:1:2", "lin:0:3", "lin:1:-1",
                    "lin:1:+2", "thm21:3", "empirical:", "empirical:{dir}/absent.reg"]
+BAD_SPECS = ["", "tm:", "nosuch", "periodic:", "periodic:01,tm", "product:tm",
+             "prepend:2:tm", "suffix:-1:tm", "thm21tau:6", "scheme:{dir}/absent.scheme"]
 
 
 def _bad(suffix):
@@ -116,6 +118,8 @@ def bad_argvs():
               ["split", "--spec", "tm", "--marker", "0",
                "--reg", "empirical:{dir}/short.reg"],
               ["split", "--spec", "tm", "--marker", "0", "--reg", "bogus"]]
+    argvs += [["check-sap", "--spec", spec, "--horizon", "64", "--nmax", "2"]
+              for spec in BAD_SPECS]
     return argvs
 
 
