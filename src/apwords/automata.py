@@ -19,7 +19,8 @@ from .words import Alphabet, StreamSequence, Word, _Record, word
 # exhausted.
 DEFAULT_STALL_LIMIT = 2 ** 17
 
-# Hard cap on letters consumed while closing a block alphabet.
+# Cap on a split's closure scan, counted as its blocks times r(1), the most
+# letters a block may span.
 DEFAULT_SCAN_CAP = 2 ** 24
 
 # Input letters a machine stream pulls from upstream in one range read: as
@@ -233,96 +234,93 @@ class SplitResult(_Record, frozen=False):
                   max_block_len, original)
 
 
-def _cut_blocks(text, code, tail):
-    """Cut the letter codes tail + text at each marker code: (the complete
-    blocks, each without its closing marker, and the new tail)."""
-    blocks = (tail + text).split(code)
-    tail = blocks.pop()
-    return blocks, tail
-
-
-def _scan_blocks(seq, code, start, stop_blocks, stop_letters):
-    """The blocks of seq[start:] ending at each marker, up to either stop,
-    as letter codes without the closing marker.  A block spans at least one
-    letter, so each range read asks for the blocks still needed."""
-    pull = _upstream(seq, start)
-    blocks = []
-    tail = ""
-    pos = start
-    while True:
-        letters = pull(stop_blocks - len(blocks))[:start + stop_letters - pos]
-        cut, tail = _cut_blocks(seq.alphabet.encode(letters), code, tail)
-        blocks += cut
-        pos += len(letters)
-        if len(blocks) >= stop_blocks or pos - start >= stop_letters:
-            return blocks[:stop_blocks]
-
-
 def split(seq, marker, reg):
     """Cut a sequence into blocks ending at each occurrence of the marker,
     drop the first (partial) block, and recode blocks over a fresh alphabet.
 
-    The block alphabet is closed after a scan long enough to witness every
-    recurrent block (two split-regulator windows); a block first seen after
-    closure is a hard invariant violation (scan capped at DEFAULT_SCAN_CAP).
+    One cutter reads seq from the offset once; the probe, the closure scan
+    and the split sequence's fills take its blocks in order.  The marker
+    recurs, so it lies in every window of r(1) letters: a longer block, or
+    an unfinished one of r(1) letters, is an invariant violation where it
+    is met.  The block alphabet is closed after a scan long enough to
+    witness every recurrent block (two split-regulator windows); a block
+    first seen after closure is an invariant violation at that block.
     """
-    if marker not in infinite_letters(seq, reg):
+    r1 = reg(1)
+    # condition (1) places the first marker within the first window, and
+    # the second window holds exactly the infinitely-occurring letters
+    head = seq.read(0, 2 * r1 - 1).symbols
+    if marker not in head[r1:]:
         raise ValueError(f"marker {marker!r} does not recur (not in the "
                          "infinitely-occurring letters)")
-    r1 = reg(1)
-    # first marker occurrence; condition (1) places it within the first window
-    head = seq.read(0, r1 - 1).symbols
-    if marker not in head:
+    if marker not in head[:r1]:
         raise InvariantViolation("marker absent from the first regulator window")
     offset = head.index(marker) + 1
     # blocks are cut as letter codes, each without its closing marker
     alphabet = seq.alphabet
     code = alphabet.encode((marker,))
 
+    def cutter():
+        # a block spans at least one letter: a send asks for the blocks
+        # still needed, and gets the blocks its letters complete
+        pull = _upstream(seq, offset)
+        tail = ""
+        blocks = None
+        while True:
+            blocks = (tail + alphabet.encode(pull((yield blocks)))).split(code)
+            tail = blocks.pop()
+            if len(tail) >= r1:
+                yield blocks
+                raise InvariantViolation(f"block of length over {len(tail)} "
+                                         f"exceeds the regulator window {r1}")
+
+    cut = cutter()
+    next(cut)
+    blocks = []
+
+    def first(n):
+        # the stream meets a long complete block as one first seen after
+        # the closure scan, so only the scan looks for one
+        while len(blocks) < n:
+            new = cut.send(n - len(blocks))
+            blocks.extend(new)
+            for b in new:
+                if len(b) >= r1:
+                    raise InvariantViolation(f"block of length {len(b) + 1} "
+                                             f"exceeds the regulator window {r1}")
+        return itertools.islice(blocks, n)
+
     # phase 1: observe block lengths over one window to size the closure scan
-    probe = _scan_blocks(seq, code, offset, 2 * r1, 2 * r1 * r1)
-    if not probe:
-        raise InvariantViolation("no complete block in the probe window")
-    k_probe = max(map(len, probe)) + 1
+    k_probe = max(map(len, first(2 * r1))) + 1
     closure_blocks = 2 * reg_split(reg, k_probe)(1)
     if closure_blocks * r1 > DEFAULT_SCAN_CAP:
         raise ResourceLimitError(
             f"block-alphabet closure scan ({closure_blocks} blocks of up to "
             f"{r1} letters) exceeds cap {DEFAULT_SCAN_CAP}"
         )
-    seen = {}
-    order = []
-    for b in _scan_blocks(seq, code, offset, closure_blocks, DEFAULT_SCAN_CAP):
-        if b not in seen:
-            seen[b] = f"b{len(order)}"
-            order.append(b)
-    max_block_len = max(map(len, order)) + 1
-    if max_block_len > r1:
-        raise InvariantViolation(
-            f"block of length {max_block_len} exceeds the regulator window {r1}"
-        )
-    block_alphabet = Alphabet(tuple(seen[b] for b in order))
-    decode = {seen[b]: Word(alphabet, alphabet.decode(b + code)) for b in order}
+    seen = {b: f"b{i}" for i, b in enumerate(dict.fromkeys(first(closure_blocks)))}
+    max_block_len = max(map(len, seen)) + 1
+    block_alphabet = Alphabet(tuple(seen.values()))
+    decode = {name: Word(alphabet, alphabet.decode(b + code))
+              for b, name in seen.items()}
 
-    def chunks():
-        # a block spans at least one letter: ask for the blocks still needed
-        pull = _upstream(seq, offset)
-        tail = ""
-        out = None
+    def chunks(codes):
+        yield  # _of_chunks runs the generator to here
         while True:
-            need = yield out
-            blocks, tail = _cut_blocks(alphabet.encode(pull(need)), code, tail)
-            out = list(map(seen.get, blocks))
+            out = list(map(seen.get, codes))
             if None in out:
                 k = out.index(None)
                 yield out[:k]
-                block = Word(alphabet, alphabet.decode(blocks[k] + code))
+                block = Word(alphabet, alphabet.decode(codes[k] + code))
                 raise InvariantViolation(
                     f"block {block.text()!r} first seen after the closure scan"
                 )
+            del codes  # the first codes are the whole scan: keep none idle
+            codes = cut.send((yield out))
 
     split_sequence = StreamSequence._of_chunks(
-        block_alphabet, chunks(), description=f"split:{marker}:{seq.description}"
+        block_alphabet, chunks(blocks),
+        description=f"split:{marker}:{seq.description}"
     )
     return SplitResult(
         marker=marker,
@@ -366,7 +364,7 @@ def block_automaton(auto, sr):
             outputs[out] = None
 
     # state after the deleted prefix (ends with the marker, so it lies in Q1)
-    dropped = sr.original.read(0, sr.offset - 1).symbols if sr.offset else ()
+    dropped = sr.original.read(0, sr.offset - 1).symbols
     initial = _walk(auto, auto.initial, dropped)[1]
     if initial not in states:
         raise InvariantViolation("post-prefix state escaped the marker image")

@@ -581,6 +581,22 @@ def test_split_raises_only_at_the_offending_block():
             sr.split_sequence.at(499)
 
 
+def test_split_raises_where_the_marker_stops_recurring():
+    # the marker 0 occurs at 2, 4, ..., 198 and never again: blocks 0..98
+    # are "10", and the unfinished block after them reaches r(1) = 4 letters
+    seq = ap.FuncSequence(BIN, lambda i: "01"[i % 2] if i < 200 else "1", "stops")
+    with deadline(10):
+        sr = split(seq, "0", ap.identity_plus(3))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ap.InvariantViolation, match=r"block of length "
+                               r"over \d+ exceeds the regulator window 4$") as exc:
+                sr.split_sequence.at(99)
+            errors.append(str(exc.value))
+        assert read(sr.split_sequence, 0, 98).symbols == ("b0",) * 99
+    assert errors[0] == errors[1]
+
+
 def test_run_over_a_failing_index_function_stops_at_the_failure():
     calls = []
 
@@ -671,6 +687,25 @@ def test_nested_split_reads_a_bounded_prefix(monkeypatch):
     assert letters[0] < NESTED_SPLIT_TM_LETTERS
 
 
+def test_split_reads_each_letter_past_the_offset_once(monkeypatch):
+    reg = tm_empirical()
+    tm = thue_morse()
+    reads = []
+    read_symbols = ap.words._FixedPoint._read_symbols
+
+    def recorded(self, i, j):
+        if self is tm:
+            reads.append((i, j))
+        return read_symbols(self, i, j)
+
+    monkeypatch.setattr(ap.words._FixedPoint, "_read_symbols", recorded)
+    sr = split(tm, "0", reg)
+    assert len(read(sr.split_sequence, 0, 2 ** 14 - 1)) == 2 ** 14
+    past = sorted(r for r in reads if r[0] >= sr.offset)
+    assert len(past) > 1
+    assert all(j < i for (_, j), (i, _) in zip(past, past[1:]))
+
+
 def test_concurrent_reads_agree_and_fill_each_index_once():
     calls = []
     base = counted_thue_morse(calls, yield_gil=True)
@@ -706,14 +741,14 @@ def test_concurrent_reads_agree_and_fill_each_index_once():
     assert sorted(calls) == list(range(len(calls)))
 
 
-def test_split_probe_window_stops_at_its_letter_cap(monkeypatch):
-    # the probe sees only "0001" in its 32 letters, so the closure scan is
-    # sized for blocks of 4 and fits the cap; it then meets a 40-letter block
-    monkeypatch.setattr(ap.automata, "DEFAULT_SCAN_CAP", 100)
+def test_split_raises_at_the_first_block_longer_than_r1():
+    # markers at 1, 5, then every 40: the block at 2..5 spans r(1) = 4
+    # letters, and the next, at 6..40, spans 35
     seq = ap.FuncSequence(
         BIN, lambda i: "1" if i in (1, 5) or (i >= 6 and i % 40 == 0) else "0",
         "sparse")
-    with pytest.raises(ap.InvariantViolation, match="block of length 40"):
+    with pytest.raises(ap.InvariantViolation,
+                       match="block of length 35 exceeds the regulator window 4"):
         split(seq, "1", ap.identity_plus(3))
 
 
