@@ -140,10 +140,11 @@ def _upstream(seq, start=0):
     read a call; need is a lower bound on the letters the caller still
     needs, and the read takes that many, at least _FLOOR and at most _CHUNK.
 
-    Once a range read fails (seq ends or fails inside it), the letters come
-    one at a time: those before the failing position still come out, and
-    the read of that position raises, so a machine stream meets the error
-    only where a per-letter reader would.
+    Once a range read fails (seq ends or fails inside it), that range is
+    read letter by letter: the letters before the first failing position
+    come out, and the next call raises that letter's error, so a machine
+    stream meets the error only where a per-letter reader would.  If no
+    letter of the range fails, the range read's error is raised at once.
     """
 
     def reads():
@@ -153,13 +154,19 @@ def _upstream(seq, start=0):
             n = min(max(need, _FLOOR), _CHUNK)
             try:
                 letters = seq._read_symbols(i, i + n - 1)
-            except Exception:
+            except Exception as exc:
+                error = exc
                 break
             need = yield letters
             i += n
-        while True:
-            yield (seq.at(i),)
-            i += 1
+        letters = []
+        for k in range(i, i + n):
+            try:
+                letters.append(seq.at(k))
+            except Exception:
+                yield letters
+                raise
+        raise error
 
     gen = reads()
     next(gen)
@@ -518,24 +525,16 @@ def run(auto, seq, with_states=False):
 def hom_apply(h, seq, reg=None, stall_limit=DEFAULT_STALL_LIMIT):
     """Concatenated image h(seq(0)) h(seq(1)) ...
 
-    With a regulator, finiteness of the image is decided up front from the
-    recurrent letters: a finite image is h(seq[0 : r(1) - 1]), as no letter
-    at or past r(1) occurs finitely often.  Without one, a read that
-    consumes ``stall_limit`` inputs with no output ends the image there.
-    Either way a read past the end of a finite image raises
-    FiniteOutputError.
+    The image ends after a stall limit of inputs in a row with no output,
+    and a read past its end raises FiniteOutputError.  The limit is
+    ``stall_limit``, or r(1) with a regulator: every window of r(1) letters
+    holds every recurrent letter, so r(1) erased inputs in a row mean that
+    h erases them all, and the image is h(seq[0 : r(1) - 1]).
     """
     _check_input(h, seq, "homomorphism")
-    description = f"hom:{seq.description}"
-    if reg is not None:
-        recurrent = infinite_letters(seq, reg)
-        if not any(h.images[s] for s in recurrent):
-            image = h.apply_word(seq.read(0, reg(1) - 1))
-            return StreamSequence(h.target, image, description)
-
     return StreamSequence._of_chunks(
-        h.target, _transduce(seq, h, stall_limit if reg is None else None),
-        description=description,
+        h.target, _transduce(seq, h, stall_limit if reg is None else reg(1)),
+        description=f"hom:{seq.description}",
     )
 
 
@@ -608,6 +607,14 @@ def _parse_arrows(body, path, arity, noun):
     return lines
 
 
+def _built(path, cls, *args):
+    """cls(*args), a fault the constructor finds named by the file's path."""
+    try:
+        return cls(*args)
+    except (ValueError, AlphabetError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _load_machine(path, cls, output):
     """The machine of a machine file; output turns the tokens after a
     transition's next state into its delta entry."""
@@ -616,8 +623,8 @@ def _load_machine(path, cls, output):
         key: (rhs[0], output(rhs[1:]))
         for key, rhs in _parse_arrows(body, path, 2, "transition").items()
     }
-    return cls(Alphabet(header["input"]), Alphabet(header["output"]),
-               header["states"], header["initial"][0], delta)
+    return _built(path, cls, Alphabet(header["input"]), Alphabet(header["output"]),
+                  header["states"], header["initial"][0], delta)
 
 
 def load_automaton(path):
@@ -646,7 +653,13 @@ def load_homomorphism(path):
         s: () if rhs == ["-"] else rhs
         for (s,), rhs in _parse_arrows(body, path, 1, "image").items()
     }
-    return Homomorphism(source, target, images)
+    for s in source:
+        if s not in images:
+            raise ValueError(f"{path}: no image for letter {s!r}")
+    for s in images:
+        if s not in source:
+            raise ValueError(f"{path}: image for undeclared letter {s!r}")
+    return _built(path, Homomorphism, source, target, images)
 
 
 def automaton_text(auto):

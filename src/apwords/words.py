@@ -272,11 +272,13 @@ class _Suffix(SequenceHandle):
 
 class FuncSequence(SequenceHandle):
     """Index-function sequence memoized in chunks of CHUNK letters.  Chunk
-    c is a StreamSequence over fn at the indices c * CHUNK onwards, made at
-    its first read, so fn runs once per index however reads interleave, a
-    fill goes only as far as the read, and letters before an index where
-    fn raises stay readable.  A read that meets such an index calls fn
-    index by index instead, and raises where fn does."""
+    c is a list of fn's letters at the indices c * CHUNK onwards, filled in
+    place, under the handle's lock, from its length to the last index a
+    read reaches; so fn runs once per index however reads interleave, and
+    a fill that fn interrupts resumes where it stopped.  A read raises what
+    fn raises at an index inside it, with the letters before that index
+    still readable.  A read that starts past such an index, or that meets
+    fn's StopIteration (which ends map), calls fn index by index instead."""
 
     CHUNK = 4096
 
@@ -284,30 +286,28 @@ class FuncSequence(SequenceHandle):
         super().__init__(alphabet, description)
         self._fn = fn
         self._chunks = {}
-
-    def _chunk(self, c):
-        chunk = self._chunks.get(c)
-        if chunk is None:
-            base = c * self.CHUNK
-            chunk = self._chunks.setdefault(c, StreamSequence(
-                self.alphabet, map(self._fn, range(base, base + self.CHUNK))))
-        return chunk
+        self._lock = threading.Lock()
 
     def _read_symbols(self, i, j):
-        c, lo = divmod(i, self.CHUNK)
-        last, hi = divmod(j, self.CHUNK)
-        try:
-            if c == last:
-                return self._chunk(c)._read_symbols(lo, hi)
-            full = self.CHUNK - 1
-            return tuple(itertools.chain.from_iterable(
-                self._chunk(k)._read_symbols(lo if k == c else 0,
-                                             hi if k == last else full)
-                for k in range(c, last + 1)))
-        except Exception:  # read index by index below, raising where fn does
-            pass
-        # not map, which would take a StopIteration from fn for its own end
-        return tuple([self._fn(k) for k in range(i, j + 1)])
+        out = []
+        for c in range(i // self.CHUNK, j // self.CHUNK + 1):
+            base = c * self.CHUNK
+            stop = min(j + 1 - base, self.CHUNK)
+            chunk = self._chunks.get(c)
+            if chunk is None or len(chunk) < stop:
+                with self._lock:
+                    chunk = self._chunks.setdefault(c, [])
+                    try:
+                        chunk.extend(map(self._fn, range(base + len(chunk), base + stop)))
+                    except Exception:
+                        if base + len(chunk) >= i:
+                            raise
+                if len(chunk) < stop:
+                    # fn raised before i, or raised StopIteration, which map
+                    # takes for its end: call fn itself
+                    return tuple([self._fn(k) for k in range(i, j + 1)])
+            out += chunk[max(i - base, 0):stop]
+        return tuple(out)
 
 
 class StreamSequence(SequenceHandle):
@@ -315,8 +315,9 @@ class StreamSequence(SequenceHandle):
 
     A fill takes the letters the read still needs in one extend.  The
     iterator may be finite; reads past its end raise FiniteOutputError
-    lazily.  An exception the iterator raises is kept, with the letters
-    taken before it, and every read that reaches its position raises it.
+    lazily.  Whatever a fill raises, a KeyboardInterrupt too, is kept with
+    the letters taken before it, and every read that reaches its position
+    raises it: an iterator a fill has stopped is never read as ended.
     Buffer fills are serialized so concurrent reads are safe.
     """
 
@@ -357,7 +358,7 @@ class StreamSequence(SequenceHandle):
                     self._fill(n + 1 - len(buf))
                 except StopIteration:
                     self._done = True
-                except Exception as exc:
+                except BaseException as exc:
                     # raised again from this traceback, so it does not grow
                     self._done, self._error, self._trace = True, exc, exc.__traceback__
 

@@ -1,5 +1,6 @@
 """Automata, transducers, homomorphisms, splits, and the reversible reduction."""
 
+import itertools
 import random
 import sys
 import threading
@@ -277,6 +278,65 @@ def test_hom_apply_finite_image_with_a_regulator():
             assert exc.value.produced == 2
 
 
+class CountedReads(ap.SequenceHandle):
+    """A view of seq that records the range reads made through it."""
+
+    def __init__(self, seq):
+        super().__init__(seq.alphabet, seq.description)
+        self.seq = seq
+        self.reads = []
+
+    def _read_symbols(self, i, j):
+        self.reads.append((i, j))
+        return self.seq._read_symbols(i, j)
+
+
+def hom_image(h, seq, n):
+    """The first n letters of h(seq), an infinite image, letter by letter."""
+    out = []
+    for s in map(seq.at, itertools.count()):
+        if len(out) >= n:
+            return tuple(out[:n])
+        out += h.images[s]
+
+
+def test_hom_apply_agrees_with_the_recurrent_letter_decision():
+    # the reference decision: the image is finite iff h erases every
+    # letter of infinite_letters, and it is then h(seq[0 : r(1) - 1])
+    rng = random.Random(20)
+    cases = [("tm", tm_empirical()), ("thm21", ap.reg_thm21())]
+    for _ in range(8):
+        period = "".join(rng.choice("01") for _ in range(rng.randint(1, 5)))
+        cases.append((f"periodic:{period}", ap.periodic_regulator(len(period))))
+    for spec, reg in cases:
+        for _ in range(12):
+            h = Homomorphism(BIN, BIN, {s: tuple(rng.choice("01") for _ in
+                                                 range(rng.randint(0, 2)))
+                                        for s in "01"})
+            seq = CountedReads(ap.make_sequence(spec))
+            out = hom_apply(h, seq, reg)
+            assert seq.reads == []  # nothing is read before the first read
+            if any(h.images[s] for s in infinite_letters(seq.seq, reg)):
+                assert read(out, 0, 4999).symbols == hom_image(h, seq.seq, 5000)
+                continue
+            image = h.apply_word(seq.seq.read(0, reg(1) - 1)).symbols
+            if image:
+                assert read(out, 0, len(image) - 1).symbols == image
+            assert produced_at(out, len(image)) == len(image)
+
+
+def test_hom_apply_under_a_false_regulator_ends_by_its_stall_rule():
+    # check_regulator rejects identity_plus(2) for 1110 1 1 1 ...: 0 is in
+    # the window [r(1), 2r(1) - 1] but does not recur.  The image "1" is
+    # finite; the stall rule ends it after r(1) = 3 erased inputs.
+    h = Homomorphism(BIN, BIN, {"0": ("1",), "1": ()})
+    with deadline(10):
+        out = hom_apply(h, prepend("1110", periodic(word("1", BIN))),
+                        ap.identity_plus(2))
+        with pytest.raises(ap.FiniteOutputError):
+            out.read(0, 1)
+
+
 def test_hom_apply_partial_erasure():
     h = Homomorphism(BIN, BIN, {"0": (), "1": ("1",)})
     out = hom_apply(h, thue_morse(), tm_empirical())
@@ -487,7 +547,7 @@ def test_machine_files_reject_repeated_and_undeclared_lines(tmp_path, text, mess
 @pytest.mark.parametrize("text, message", [
     ("input: 0 1\n0 -> 1\n1 -> 0\n0 -> 0 0\n", r"h\.hom:4: repeated image for '0'"),
     ("input: 0 1\ninput: 0\n0 -> 1\n1 -> 0\n", r"h\.hom:2: repeated 'input' header"),
-    ("input: 0 1\n0 -> 1\n1 -> 0\n2 -> 0\n", r"from \(None, '2'\) outside the states"),
+    ("input: 0 1\n0 -> 1\n1 -> 0\n2 -> 0\n", r"h\.hom: image for undeclared letter '2'$"),
 ])
 def test_homomorphism_files_reject_repeated_and_undeclared_lines(tmp_path, text, message):
     p = tmp_path / "h.hom"
@@ -635,6 +695,49 @@ def test_index_function_raising_stop_iteration_gives_no_short_read():
         with pytest.raises(RuntimeError) as exc:
             read(out, 0, 19)
         assert isinstance(exc.value.__cause__, StopIteration)
+
+
+def raising_once(exc, at):
+    """Thue-Morse by an index function that raises exc on its first call
+    at index at, and returns the letter on every later call."""
+    raised = []
+
+    def fn(i):
+        if i == at and not raised:
+            raised.append(i)
+            raise exc
+        return "01"[bin(i).count("1") % 2]
+
+    return ap.FuncSequence(BIN, fn, f"raises once at {at}")
+
+
+def test_func_sequence_resumes_a_fill_that_fn_interrupted():
+    seq = raising_once(KeyboardInterrupt, 10)
+    with pytest.raises(KeyboardInterrupt):
+        read(seq, 0, 19)
+    assert read(seq, 0, 19) == read(thue_morse(), 0, 19)
+
+
+def test_an_interrupted_machine_stream_never_claims_to_be_finite():
+    out = run(swap_automaton(), raising_once(KeyboardInterrupt, 100))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(KeyboardInterrupt) as exc:
+            read(out, 0, 199)
+        errors.append(exc.value)
+    assert errors[0] is errors[1]
+
+
+def test_a_read_never_returns_letters_past_an_error_raised_computing_them():
+    # fn's one TimeoutError lies inside the read, as a signal handler's
+    # would: the read raises it, and a later read of the handle succeeds
+    seq = raising_once(TimeoutError, 50)
+    with pytest.raises(TimeoutError):
+        read(seq, 0, 99)
+    assert read(seq, 0, 99) == read(thue_morse(), 0, 99)
+    # the stream's range read raises it, and its letter reads do not
+    with pytest.raises(TimeoutError):
+        read(run(swap_automaton(), raising_once(TimeoutError, 50)), 0, 99)
 
 
 # ---------------------------------------------------------------------------
