@@ -135,42 +135,41 @@ def _tracer(machine):
                      machine.initial, delta)
 
 
-def _upstream(seq, start=0):
-    """A function need -> the next letters of seq from start on, one range
-    read a call; need is a lower bound on the letters the caller still
-    needs, and the read takes that many, at least _FLOOR and at most _CHUNK.
+def _upstream(seq, i=0):
+    """A fill function need -> the next letters of seq from index i on: one
+    range read a call, of need letters (a lower bound on what the caller
+    still needs), but at least _FLOOR and at most _CHUNK.
 
     Once a range read fails (seq ends or fails inside it), that range is
-    read letter by letter: the letters before the first failing position
-    come out, and the next call raises that letter's error, so a machine
-    stream meets the error only where a per-letter reader would.  If no
-    letter of the range fails, the range read's error is raised at once.
+    read letter by letter, so the error surfaces where a per-letter reader
+    meets it: the letters before it come out, and the next call raises it
+    unchanged.  If no letter fails, the range read's error is raised at once.
     """
+    error = None
 
-    def reads():
-        i = start
-        need = yield
-        while True:
-            n = min(max(need, _FLOOR), _CHUNK)
-            try:
-                letters = seq._read_symbols(i, i + n - 1)
-            except Exception as exc:
-                error = exc
-                break
-            need = yield letters
+    def pull(need):
+        nonlocal i, error
+        if error is not None:
+            raise error
+        n = min(max(need, _FLOOR), _CHUNK)
+        try:
+            letters = seq._read_symbols(i, i + n - 1)
+        except Exception as exc:
+            error = exc
+        else:
             i += n
+            return letters
+        # outside the handler, so a letter's error gets no __context__
         letters = []
         for k in range(i, i + n):
             try:
                 letters.append(seq.at(k))
-            except Exception:
-                yield letters
-                raise
+            except Exception as exc:
+                error = exc
+                return letters
         raise error
 
-    gen = reads()
-    next(gen)
-    return gen.send
+    return pull
 
 
 def _check_input(machine, seq, noun):
@@ -267,29 +266,30 @@ def split(seq, marker, reg):
     alphabet = seq.alphabet
     code = alphabet.encode((marker,))
 
-    def cutter():
-        # a block spans at least one letter: a send asks for the blocks
-        # still needed, and gets the blocks its letters complete
-        pull = _upstream(seq, offset)
-        tail = ""
-        blocks = None
-        while True:
-            blocks = (tail + alphabet.encode(pull((yield blocks)))).split(code)
-            tail = blocks.pop()
-            if len(tail) >= r1:
-                yield blocks
-                raise InvariantViolation(f"block of length over {len(tail)} "
-                                         f"exceeds the regulator window {r1}")
+    pull = _upstream(seq, offset)
+    tail = ""
+    error = None
 
-    cut = cutter()
-    next(cut)
+    def cut(need):
+        # a block spans at least one letter: a call asks for the blocks
+        # still needed, and gets the blocks its letters complete
+        nonlocal tail, error
+        if error is not None:
+            raise error
+        parts = (tail + alphabet.encode(pull(need))).split(code)
+        tail = parts.pop()
+        if len(tail) >= r1:
+            error = InvariantViolation(f"block of length over {len(tail)} "
+                                       f"exceeds the regulator window {r1}")
+        return parts
+
     blocks = []
 
     def first(n):
         # the stream meets a long complete block as one first seen after
         # the closure scan, so only the scan looks for one
         while len(blocks) < n:
-            new = cut.send(n - len(blocks))
+            new = cut(n - len(blocks))
             blocks.extend(new)
             for b in new:
                 if len(b) >= r1:
@@ -311,23 +311,22 @@ def split(seq, marker, reg):
     decode = {name: Word(alphabet, alphabet.decode(b + code))
               for b, name in seen.items()}
 
-    def chunks(codes):
-        yield  # _of_chunks runs the generator to here
-        while True:
-            out = list(map(seen.get, codes))
-            if None in out:
-                k = out.index(None)
-                yield out[:k]
-                block = Word(alphabet, alphabet.decode(codes[k] + code))
-                raise InvariantViolation(
-                    f"block {block.text()!r} first seen after the closure scan"
-                )
-            del codes  # the first codes are the whole scan: keep none idle
-            codes = cut.send((yield out))
+    def fill(need):
+        # names the scan's blocks, then those the cutter completes; a block
+        # first seen after the scan is the cutter's error at the next fill
+        nonlocal blocks, error
+        codes, blocks = blocks or cut(need), None
+        out = list(map(seen.get, codes))
+        if None in out:
+            k = out.index(None)
+            block = Word(alphabet, alphabet.decode(codes[k] + code))
+            error = InvariantViolation(
+                f"block {block.text()!r} first seen after the closure scan")
+            del out[k:]
+        return out
 
-    split_sequence = StreamSequence._of_chunks(
-        block_alphabet, chunks(blocks),
-        description=f"split:{marker}:{seq.description}"
+    split_sequence = StreamSequence._of_fill(
+        block_alphabet, fill, description=f"split:{marker}:{seq.description}"
     )
     return SplitResult(
         marker=marker,
@@ -481,29 +480,35 @@ def reduce_to_reversible(auto, seq, reg):
 
 
 def _transduce(seq, machine, stall_limit):
-    """The output chunks of a machine run over seq, as a chunk generator of
-    StreamSequence._of_chunks; the output ends after stall_limit consecutive
-    inputs without output (with None, never).  An input emits at most the
-    machine's width letters, so a read that needs n more letters needs at
-    least ceil(n / width) more inputs."""
+    """The fill function of a machine run over seq.  The output ends after
+    stall_limit consecutive inputs without output (with None, never), and
+    an input's error reaches the reader unchanged.  An input emits at most
+    the machine's width letters, so a read that needs n more letters needs
+    at least ceil(n / width) more inputs."""
     pull = _upstream(seq)
     row = machine._row
     width = machine._width
     stalled = 0
-    out = None
-    while True:
-        need = yield out
-        out = []
+
+    def fill(need):
+        nonlocal row, stalled
+        if row is None:
+            return None
+        out, r, k = [], row, stalled  # locals, not cells: the loop runs per input
         for s in pull(-(-need // width) if width else _CHUNK):
-            row, o = row[s]
+            r, o = r[s]
             if o:
-                stalled = 0
+                k = 0
                 out += o
             else:
-                stalled += 1
-                if stall_limit is not None and stalled >= stall_limit:
-                    yield out
-                    return
+                k += 1
+                if stall_limit is not None and k >= stall_limit:
+                    r = None
+                    break
+        row, stalled = r, k
+        return out
+
+    return fill
 
 
 def run(auto, seq, with_states=False):
@@ -516,7 +521,7 @@ def run(auto, seq, with_states=False):
     if with_states:
         auto = _tracer(auto)
     mode = "pairs" if with_states else "output"
-    return StreamSequence._of_chunks(
+    return StreamSequence._of_fill(
         auto.output_alphabet, _transduce(seq, auto, None),
         description=f"run[{mode}]:{seq.description}",
     )
@@ -532,7 +537,7 @@ def hom_apply(h, seq, reg=None, stall_limit=DEFAULT_STALL_LIMIT):
     h erases them all, and the image is h(seq[0 : r(1) - 1]).
     """
     _check_input(h, seq, "homomorphism")
-    return StreamSequence._of_chunks(
+    return StreamSequence._of_fill(
         h.target, _transduce(seq, h, stall_limit if reg is None else reg(1)),
         description=f"hom:{seq.description}",
     )
@@ -542,7 +547,7 @@ def transducer_run(trans, seq, stall_limit=DEFAULT_STALL_LIMIT):
     """The concatenated transducer output; possibly finite, in which case
     reads past the produced length raise lazily."""
     _check_input(trans, seq, "transducer")
-    return StreamSequence._of_chunks(
+    return StreamSequence._of_fill(
         trans.output_alphabet,
         _transduce(seq, trans, stall_limit),
         description=f"transduce:{seq.description}",
@@ -623,7 +628,8 @@ def _load_machine(path, cls, output):
         key: (rhs[0], output(rhs[1:]))
         for key, rhs in _parse_arrows(body, path, 2, "transition").items()
     }
-    return _built(path, cls, Alphabet(header["input"]), Alphabet(header["output"]),
+    return _built(path, cls, _built(path, Alphabet, header["input"]),
+                  _built(path, Alphabet, header["output"]),
                   header["states"], header["initial"][0], delta)
 
 
@@ -647,8 +653,8 @@ def load_transducer(path):
 def load_homomorphism(path):
     """Lines ``symbol -> word|-`` with ``input:``/``output:`` headers."""
     header, body = _parse_header(path, ("input",))
-    source = Alphabet(header["input"])
-    target = Alphabet(header["output"]) if "output" in header else source
+    source = _built(path, Alphabet, header["input"])
+    target = _built(path, Alphabet, header["output"]) if "output" in header else source
     images = {
         s: () if rhs == ["-"] else rhs
         for (s,), rhs in _parse_arrows(body, path, 1, "image").items()

@@ -311,56 +311,46 @@ class FuncSequence(SequenceHandle):
 
 
 class StreamSequence(SequenceHandle):
-    """Sequence backed by a single iterator, buffered as it is consumed.
+    """Sequence fed by a fill function, buffered as it is consumed.
 
-    A fill takes the letters the read still needs in one extend.  The
-    iterator may be finite; reads past its end raise FiniteOutputError
-    lazily.  Whatever a fill raises, a KeyboardInterrupt too, is kept with
-    the letters taken before it, and every read that reaches its position
-    raises it: an iterator a fill has stopped is never read as ended.
-    Buffer fills are serialized so concurrent reads are safe.
+    ``fill(need)`` gets the number of letters the read still needs and
+    returns a list of the next letters, as many as it has, or None at the
+    end of a finite word, past which reads raise FiniteOutputError.  The
+    constructor's fill reads its iterator a letter a call.  What a fill
+    raises, a KeyboardInterrupt or StopIteration too, is kept with the
+    letters before it and raised unchanged by every read that reaches its
+    position.  Fills are serialized so concurrent reads are safe.
     """
 
     def __init__(self, alphabet, iterator, description=""):
         super().__init__(alphabet, description)
-        self._buf = buf = []
-        it = iter(iterator)
-
-        def fill(need):
-            size = len(buf)
-            buf.extend(itertools.islice(it, need))
-            if len(buf) - size < need:
-                raise StopIteration
-
-        self._fill = fill
-        self._done = False
+        # a letter a fill, so the letters before the iterator's error are kept
+        letters = map(list, zip(iterator))
+        self._fill = lambda need: next(letters, None)
+        self._buf = []
         self._error = self._trace = None
         self._lock = threading.Lock()
 
     @classmethod
-    def _of_chunks(cls, alphabet, chunks, description=""):
-        """A stream fed by a generator of letter lists, one extend per list.
-        The generator is run here to its first yield, whose value is
-        dropped; then each fill sends it the number of letters the read
-        still needs, and extends the buffer with the list it yields."""
+    def _of_fill(cls, alphabet, fill, description=""):
         stream = cls(alphabet, (), description)
-        next(chunks)
-        send, grow = chunks.send, stream._buf.extend
-        stream._fill = lambda need: grow(send(need))
+        stream._fill = fill
         return stream
 
     def _ensure(self, n):
-        """Fill the buffer past position n, or as far as the iterator goes."""
+        """Fill the buffer past position n, or as far as the fill goes."""
         buf = self._buf
         with self._lock:
-            while len(buf) <= n and not self._done:
+            while len(buf) <= n and self._fill is not None:
                 try:
-                    self._fill(n + 1 - len(buf))
-                except StopIteration:
-                    self._done = True
+                    letters = self._fill(n + 1 - len(buf))
                 except BaseException as exc:
                     # raised again from this traceback, so it does not grow
-                    self._done, self._error, self._trace = True, exc, exc.__traceback__
+                    letters, self._error, self._trace = None, exc, exc.__traceback__
+                if letters is None:  # the fill ended or failed: drop it
+                    self._fill = None
+                else:
+                    buf += letters
 
     def _read_symbols(self, i, j):
         buf = self._buf

@@ -20,7 +20,7 @@ machine layer returns: reduction reports, split alphabets, offsets and first
 blocks (and those of one nested split), the letters or the error of
 every read of a ``run``, ``transducer_run`` or ``hom_apply`` stream,
 ``FiniteOutputError.produced`` included, and the error of loading each bad
-homomorphism file of ``inputs/``.
+homomorphism file of ``inputs/`` (``bad-*.hom`` and ``dup-header.hom``).
 
 A change that means to alter an output regenerates the corpus, and the
 diff shows every line it alters.
@@ -141,8 +141,10 @@ def _with_twins(argvs):
 
 
 def argvs():
-    """CLI_ARGVS and the bad-input lines, each list with its twins."""
-    return _with_twins(CLI_ARGVS) + _with_twins(bad_argvs())
+    """CLI_ARGVS and the bad-input lines, each list with its twins, then a
+    run of a machine file whose header repeats a letter."""
+    return _with_twins(CLI_ARGVS) + _with_twins(bad_argvs()) + [
+        ["run", "--auto", "{dir}/dup-header.aut", "--spec", "tm"]]
 
 
 def run(argv, directory):
@@ -418,6 +420,7 @@ def machine_calls():
     # bad homomorphism files, which no subcommand reads
     calls += [{"op": "load_homomorphism", "input": p.name}
               for p in sorted(INPUTS.glob("bad-*.hom"))]
+    calls.append({"op": "load_homomorphism", "input": "dup-header.hom"})
     return calls
 
 

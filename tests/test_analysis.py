@@ -105,6 +105,10 @@ def test_empirical_regulator_horizon_guard():
     B = empirical_regulator(thue_morse(), 64)
     with pytest.raises(ap.ResourceLimitError):
         B.value(40)
+    # horizon 1 is accepted, with no length it can bound; horizon 0 is not
+    assert ap.EmpiricalRegulator(thue_morse(), 1).table == {}
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        ap.EmpiricalRegulator(thue_morse(), 0)
 
 
 def factor_stats_per_position(text, n):
@@ -616,6 +620,18 @@ def test_cube_free_matches_per_letter_scan_on_planted_cubes():
             got = is_cube_free(w)
             assert got == cube_scan_per_letter(w), (p, i)
             assert got.status == "fail" and got.failures[0][0] <= p, (p, i)
+
+
+def test_cube_free_finds_a_cube_of_a_third_of_the_word():
+    # u is a Thue-Morse prefix, so cube-free: uuu may hold no cube but its
+    # own, of period |u| = n / 3, the largest the search tries, and past
+    # _SHORT_PERIOD here
+    tm = _tm_letters(129)
+    for m in range(64, 130):
+        w = Word(ap.BINARY, tuple(tm[:m] * 3))
+        got = is_cube_free(w)
+        assert got == cube_scan_per_letter(w), m
+        assert got.status == "fail", m
 
 
 def test_cube_free_rejects_near_cubes_on_both_sides_of_the_split():

@@ -190,6 +190,11 @@ def test_table_regulator(tmp_path):
     rt = load_table_regulator(str(p))
     assert rt(3) == 11
     assert parse_regulator(f"empirical:{p}")(2) == 9
+    # the path is all of the descriptor after the first ':'
+    d = tmp_path / "a:b"
+    d.mkdir()
+    p.rename(d / "t.reg")
+    assert parse_regulator(f"empirical:{d / 't.reg'}")(3) == 11
 
 
 def test_repeated_evaluation_agrees():
