@@ -167,6 +167,8 @@ class FactorIndex:
     (Cassaigne, Recurrence in infinite words, STACS 2001), so only those
     factors are split by next letter; every other factor keeps its stats,
     except the one that starts at len(text) - n, which loses that start.
+    One set of strings, the length-(n - 1) factors that had two right
+    extensions, serves both kinds of level below.
 
     The k distinct letters of the text are numbered 0..k-1.  While a
     level's F factors times k fit a byte (F * k <= 256), the level is one
@@ -192,28 +194,26 @@ class FactorIndex:
         self._n = 0
         self._ids = bytes(end + 1)
         self._level = [[0, end, min(end, 1), 0]]
-        self._fork = {0}  # ids of the factors whose suffix branched
+        self._branched = {""}  # factors that branched at n - 1; "" splits level 0
 
     def _advance(self):
-        n, ids, k, fork = self._n, self._ids, self._k, self._fork
+        n, ids, k, codes = self._n, self._ids, self._k, self._codes
         if ids is not None and len(self._level) * k > 256:  # hand off to arrays
-            self._branched = {self._codes[s[0] + 1:s[0] + n]
-                              for v, s in enumerate(self._level) if v in fork}
             self._level = [[*s, _starts(ids, v)] for v, s in enumerate(self._level)]
             self._ids = None
         if self._ids is None:
             return self._advance_starts()
         size = len(ids) - 1  # the factor starting at size has no next letter
         raw = (int.from_bytes(ids[:-1], "big") * k + int.from_bytes(
-            self._codes[n:].encode("latin-1"), "big")).to_bytes(size, "big")
+            codes[n:].encode("latin-1"), "big")).to_bytes(size, "big")
         kids, branched = [], set()
         for v, s in enumerate(self._level):
             first, last, maxgap, _ = s
-            if maxgap and v in fork:
+            if maxgap and codes[first + 1:first + n] in self._branched:
                 split = [*filter(None, map(_byte_stats, repeat(raw, k),
                                            range(v * k, v * k + k)))]
                 if len(split) > 1:
-                    branched.add(v)
+                    branched.add(codes[first:first + n])
                 kids.extend(split)
             elif last < size:
                 kids.append(s)
@@ -223,8 +223,7 @@ class FactorIndex:
         table = bytearray(256)
         for j, s in enumerate(kids):
             table[raw[s[0]]] = j
-        self._ids, self._level = raw.translate(table), kids
-        self._fork = {j for j, s in enumerate(kids) if ids[s[0] + 1] in branched}
+        self._ids, self._level, self._branched = raw.translate(table), kids, branched
         self._n = n + 1
 
     def _advance_starts(self):
@@ -381,24 +380,50 @@ SAP_GAP_FRACTION = 0.25
 SAP_MAX_FAILURES = 256
 
 
-def _sap_rule(horizon):
-    """The per-factor test of check_sap at one horizon.
+def _sap_faults(level, cut, horizon, n_max):
+    """The factors of lengths 1..n_max that fail the sap rule on the suffix
+    of the prefix from cut, in order of length, then of first occurrence.
 
-    Returns fault(first, last, maxgap): "recur" when the factor's last start
-    lies before the recur cut horizon/2, "gap" when its first start or a
-    start-gap exceeds the gap cut horizon/4, None when it passes.
+    level(n) gives (ids, entries) of a FactorIndex of the prefix of length
+    horizon.  Only a factor with a start at or past cut is judged, from
+    start, the first such start.  It fails "recur" when its last start lies
+    before the recur cut (horizon - cut)/2 of the suffix, and "gap" when
+    start - cut or a start-gap exceeds the gap cut (horizon - cut)/4.  The factor's widest start-gap stands in for the
+    widest one past the cut, which it bounds; the gaps past the cut are
+    scanned only when that gap opens before the cut and the factor fails
+    with it.  Each failure is (n, kind, start, last, maxgap, gap_prev), the
+    gap and the start opening it taken past the cut when scanned there.
     """
-    recur_cut = horizon * SAP_RECUR_FRACTION
-    gap_cut = horizon * SAP_GAP_FRACTION
-
-    def fault(first, last, maxgap):
-        if last < recur_cut:
-            return "recur"
-        if max(first, maxgap) > gap_cut:
-            return "gap"
-        return None
-
-    return fault
+    recur_cut = (horizon - cut) * SAP_RECUR_FRACTION
+    gap_cut = (horizon - cut) * SAP_GAP_FRACTION
+    for n in range(1, n_max + 1):
+        ids, entries = level(n)
+        for v, (first, last, maxgap, gap_prev, *pos) in enumerate(entries):
+            if last < cut:
+                continue  # the factor starts only before the cut
+            if first >= cut:
+                start = first
+            elif ids is None:
+                k = bisect_left(pos[0], cut)
+                start = pos[0][k]
+            else:
+                start = ids.find(v, cut)
+            if last - cut < recur_cut:
+                kind = "recur"
+            elif max(start - cut, maxgap) <= gap_cut:
+                continue
+            else:
+                kind = "gap"
+                if gap_prev < cut:
+                    # the widest gap opens before the cut: judge the gaps past it
+                    if ids is None:
+                        maxgap, gap_prev = _widest_gap(pos[0], k)
+                    else:
+                        _, _, maxgap, gap_prev = _byte_stats(ids[start:], v)
+                        gap_prev += start
+                    if max(start - cut, maxgap) <= gap_cut:
+                        continue
+            yield n, kind, start, last, maxgap, gap_prev
 
 
 def check_sap(seq, horizon, n_max):
@@ -407,8 +432,8 @@ def check_sap(seq, horizon, n_max):
     A factor whose last occurrence starts before the recur cut horizon/2,
     while the scan continues to the horizon, is witnessed non-recurrent; a
     factor whose first start or a start-gap exceeds the gap cut horizon/4
-    has no witnessed bound.  The verdict lists the first 256 failures and
-    counts them all.
+    has no witnessed bound (the rule of _sap_faults, at cut 0).  The verdict
+    lists the first 256 failures and counts them all.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -416,26 +441,21 @@ def check_sap(seq, horizon, n_max):
     if horizon - n_max < recur_cut:
         return Verdict("inconclusive", horizon, note=f"no factor of length {n_max} "
                        f"can start past the recur cut {recur_cut:g}")
-    index = FactorIndex(_seq_text(seq, 0, horizon - 1))
-    fault = _sap_rule(horizon)
+    text = _seq_text(seq, 0, horizon - 1)
     failures = []
     count = 0
-    for n in range(1, n_max + 1):
-        for key, (first, last, maxgap, gap_prev) in index.stats(n).items():
-            kind = fault(first, last, maxgap)
-            if kind is None:
-                continue
-            if kind == "recur":
-                start, length = last + 1, horizon - (last + 1)
-            elif first >= maxgap:
-                start, length = 0, first - 1 + n
-            else:
-                start, length = gap_prev + 1, maxgap - 2 + n
-            count += 1
-            if len(failures) < SAP_MAX_FAILURES:
-                failures.append(
-                    (n, Counterexample(_text_word(key, seq.alphabet), start, length))
-                )
+    for n, kind, first, last, maxgap, gap_prev in _sap_faults(
+            FactorIndex(text)._at, 0, horizon, n_max):
+        if kind == "recur":
+            start, length = last + 1, horizon - (last + 1)
+        elif first >= maxgap:
+            start, length = 0, first - 1 + n
+        else:
+            start, length = gap_prev + 1, maxgap - 2 + n
+        count += 1
+        if len(failures) < SAP_MAX_FAILURES:
+            factor = _text_word(text[first:first + n], seq.alphabet)
+            failures.append((n, Counterexample(factor, start, length)))
     if count:
         return Verdict(
             "fail", horizon, counterexample=failures[0][1],
@@ -526,13 +546,8 @@ def pr_upper_estimate(seq, horizon, n_max):
     which check_sap(seq.suffix(c), horizon - c, n_max) passes.
 
     The prefix is encoded once, into one FactorIndex whose levels are kept.
-    Each cut is judged at n = 1, 2, ... until its first failing factor, so
-    only once every smaller cut has failed; per factor, by the per-factor
-    rule of check_sap, from its first start past the cut (one find in the
-    level's ids, or one bisection of its starts).  The factor's widest
-    start-gap stands in for the widest one past the cut, which it bounds;
-    the gaps past the cut are scanned only when that gap opens before the
-    cut and the factor fails with it.
+    Each cut is judged by _sap_faults, at n = 1, 2, ... until its first
+    failing factor, so only once every smaller cut has failed.
 
     At a finite n_max, a sequence with no uniformly recurrent suffix can
     still have a passing cut: every non-recurring factor past that cut may be
@@ -546,40 +561,16 @@ def pr_upper_estimate(seq, horizon, n_max):
         return None
     index = FactorIndex(_seq_text(seq, 0, horizon - 1))
     levels = []
+
+    def level(n):
+        if len(levels) < n:  # the index never changes a level it built
+            levels.append(index._at(n))
+        return levels[n - 1]
+
     for cut in cuts:
-        for n in range(1, n_max + 1):
-            if len(levels) < n:  # the index never changes a level it built
-                levels.append(index._at(n))
-            if not _cut_passes(*levels[n - 1], cut, horizon):
-                break
-        else:
+        if next(_sap_faults(level, cut, horizon, n_max), None) is None:
             return cut
     return None
-
-
-def _cut_passes(ids, level, cut, horizon):
-    """Whether every factor of a level (ids None: of arrays) starting at or
-    past cut passes its suffix's rule."""
-    fault = _sap_rule(horizon - cut)
-    for v, (_, last, maxgap, gap_prev, *pos) in enumerate(level):
-        if last < cut:
-            continue  # the factor starts only before the cut
-        if ids is None:
-            k = bisect_left(pos[0], cut)
-            start = pos[0][k]
-        else:
-            start = ids.find(v, cut)
-        kind = fault(start - cut, last - cut, maxgap)
-        if kind == "gap" and gap_prev < cut:
-            # the widest gap opens before the cut: judge the gaps past it
-            if ids is None:
-                widest = _widest_gap(pos[0], k)[0]
-            else:
-                widest = _byte_stats(ids[start:], v)[2]
-            kind = fault(start - cut, last - cut, widest)
-        if kind:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -183,11 +183,6 @@ class Word:
     def __hash__(self):
         return hash(self.symbols)
 
-    def __add__(self, other):
-        if other.alphabet != self.alphabet:
-            raise AlphabetError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.symbols + other.symbols)
-
     def text(self, sep=""):
         return sep.join(str(s) for s in self.symbols)
 

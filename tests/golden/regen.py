@@ -142,9 +142,11 @@ def _with_twins(argvs):
 
 def argvs():
     """CLI_ARGVS and the bad-input lines, each list with its twins, then a
-    run of a machine file whose header repeats a letter."""
+    run of a machine file whose header repeats a letter and a gen with the
+    default count."""
     return _with_twins(CLI_ARGVS) + _with_twins(bad_argvs()) + [
-        ["run", "--auto", "{dir}/dup-header.aut", "--spec", "tm"]]
+        ["run", "--auto", "{dir}/dup-header.aut", "--spec", "tm"],
+        ["gen", "--spec", "tm"]]
 
 
 def run(argv, directory):

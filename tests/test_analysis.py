@@ -105,6 +105,12 @@ def test_empirical_regulator_horizon_guard():
     B = empirical_regulator(thue_morse(), 64)
     with pytest.raises(ap.ResourceLimitError):
         B.value(40)
+    # lengths up to horizon // 2 are bounded, the next one is refused
+    B = empirical_regulator(thue_morse(), 16)
+    assert B.value(8) == 15
+    with pytest.raises(ap.ResourceLimitError,
+                       match="^empirical bound for n=9 unsupported at horizon 16$"):
+        B.value(9)
     # horizon 1 is accepted, with no length it can bound; horizon 0 is not
     assert ap.EmpiricalRegulator(thue_morse(), 1).table == {}
     with pytest.raises(ValueError, match="horizon must be >= 1"):

@@ -178,8 +178,16 @@ def test_split_invariants():
 
 def test_split_rejects_finite_marker():
     seq = prepend(word("0"), periodic(word("1", BIN)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not recur"):
         split(seq, "0", ap.identity_plus(1))
+
+
+def test_split_rejects_marker_missing_from_the_first_window():
+    # "0" recurs, but r(1) = 3 letters of "1111" pass before its first start
+    seq = prepend(word("1111", BIN), periodic(word("01")))
+    with pytest.raises(ap.InvariantViolation,
+                       match="^marker absent from the first regulator window$"):
+        split(seq, "0", ap.identity_plus(2))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ def test_split_regulator():
     assert rp(1) == 8
     assert rp(4) == 26
     assert rp.provenance == "derived"
+    assert reg_split(identity_plus(3), 2).description == "split(k=2) of id+c:3"
     rp1 = reg_split(identity_plus(1), 1)
     for m in range(1, 10):
         assert rp1(m) == m + 2
@@ -126,7 +127,7 @@ def test_linear_rejects_offset_below_one_at_construction():
 def test_call_rejects_value_below_length():
     r = Regulator(lambda n: 2 if n < 3 else n - 1, "derived", "short")
     assert r(2) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^short: r\(3\) = 2 < 3$"):
         r(3)
 
 
