@@ -113,15 +113,13 @@ class Homomorphism(Transducer):
     """Alphabet morphism extended letter-wise; images may be empty.  It is
     a one-state transducer, whose one row is linked to itself."""
 
-    def __init__(self, source, target, images):
-        super().__init__(source, target, (None,), None,
+    def __init__(self, input_alphabet, output_alphabet, images):
+        super().__init__(input_alphabet, output_alphabet, (None,), None,
                          {(None, s): (None, image) for s, image in images.items()})
-        self.source = source
-        self.target = target
-        self.images = {s: self.delta[(None, s)][1] for s in source}
+        self.images = {s: self.delta[(None, s)][1] for s in input_alphabet}
 
     def apply_word(self, w):
-        return Word(self.target, tuple(itertools.chain.from_iterable(
+        return Word(self.output_alphabet, tuple(itertools.chain.from_iterable(
             map(self.images.__getitem__, w))))
 
 
@@ -172,12 +170,14 @@ def _upstream(seq, i=0):
     return pull
 
 
-def _check_input(machine, seq, noun):
-    """Raise AlphabetError for sequence symbols the machine does not read."""
+def _check_input(machine, seq):
+    """Raise AlphabetError for sequence symbols the machine does not read,
+    naming the machine by its class."""
     if seq.alphabet.symbols != machine.input_alphabet.symbols:
         missing = [s for s in seq.alphabet if s not in machine.input_alphabet]
         if missing:
-            raise AlphabetError(f"sequence symbols {missing!r} unknown to {noun}")
+            raise AlphabetError(f"sequence symbols {missing!r} unknown to "
+                                f"{type(machine).__name__.lower()}")
 
 
 def is_reversible(auto):
@@ -409,7 +409,7 @@ def reduce_to_reversible(auto, seq, reg):
     the current sequence; among the remaining non-injective letters the one
     with the smallest state image is chosen (ties by alphabet order).
     """
-    _check_input(auto, seq, "automaton")
+    _check_input(auto, seq)
     bound = reg_iterated_bound(reg, len(auto.states))
 
     cur_auto = auto
@@ -479,12 +479,12 @@ def reduce_to_reversible(auto, seq, reg):
 # Driving machines: one loop over the linked rows
 
 
-def _transduce(seq, machine, stall_limit):
-    """The fill function of a machine run over seq.  The output ends after
-    stall_limit consecutive inputs without output (with None, never), and
-    an input's error reaches the reader unchanged.  An input emits at most
-    the machine's width letters, so a read that needs n more letters needs
-    at least ceil(n / width) more inputs."""
+def _image(machine, seq, stall_limit, name):
+    """The stream of a machine run over seq, described as name:seq.  It
+    ends after stall_limit consecutive inputs without output (with None,
+    never), and an input's error reaches the reader unchanged.  An input
+    emits at most the machine's width letters, so a read that needs n more
+    letters needs at least ceil(n / width) more inputs."""
     pull = _upstream(seq)
     row = machine._row
     width = machine._width
@@ -508,7 +508,8 @@ def _transduce(seq, machine, stall_limit):
         row, stalled = r, k
         return out
 
-    return fill
+    return StreamSequence._of_fill(machine.output_alphabet, fill,
+                                   description=f"{name}:{seq.description}")
 
 
 def run(auto, seq, with_states=False):
@@ -517,14 +518,10 @@ def run(auto, seq, with_states=False):
     With ``with_states`` the output at step n is the (input, current state)
     pair; the declared output letter is then a projection of that pair.
     """
-    _check_input(auto, seq, "automaton")
+    _check_input(auto, seq)
     if with_states:
-        auto = _tracer(auto)
-    mode = "pairs" if with_states else "output"
-    return StreamSequence._of_fill(
-        auto.output_alphabet, _transduce(seq, auto, None),
-        description=f"run[{mode}]:{seq.description}",
-    )
+        return _image(_tracer(auto), seq, None, "run[pairs]")
+    return _image(auto, seq, None, "run[output]")
 
 
 def hom_apply(h, seq, reg=None, stall_limit=DEFAULT_STALL_LIMIT):
@@ -536,22 +533,15 @@ def hom_apply(h, seq, reg=None, stall_limit=DEFAULT_STALL_LIMIT):
     holds every recurrent letter, so r(1) erased inputs in a row mean that
     h erases them all, and the image is h(seq[0 : r(1) - 1]).
     """
-    _check_input(h, seq, "homomorphism")
-    return StreamSequence._of_fill(
-        h.target, _transduce(seq, h, stall_limit if reg is None else reg(1)),
-        description=f"hom:{seq.description}",
-    )
+    _check_input(h, seq)
+    return _image(h, seq, stall_limit if reg is None else reg(1), "hom")
 
 
 def transducer_run(trans, seq, stall_limit=DEFAULT_STALL_LIMIT):
     """The concatenated transducer output; possibly finite, in which case
     reads past the produced length raise lazily."""
-    _check_input(trans, seq, "transducer")
-    return StreamSequence._of_fill(
-        trans.output_alphabet,
-        _transduce(seq, trans, stall_limit),
-        description=f"transduce:{seq.description}",
-    )
+    _check_input(trans, seq)
+    return _image(trans, seq, stall_limit, "transduce")
 
 
 def transducer_decompose(trans):
@@ -684,10 +674,10 @@ def automaton_text(auto):
 
 def homomorphism_text(hom):
     lines = [
-        "input: " + " ".join(str(s) for s in hom.source),
-        "output: " + " ".join(str(s) for s in hom.target),
+        "input: " + " ".join(str(s) for s in hom.input_alphabet),
+        "output: " + " ".join(str(s) for s in hom.output_alphabet),
     ]
-    for s in hom.source:
+    for s in hom.input_alphabet:
         image = hom.images[s]
         rhs = " ".join(str(o) for o in image) if image else "-"
         lines.append(f"{s} -> {rhs}")

@@ -171,8 +171,6 @@ class Word:
         return iter(self.symbols)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Word(self.alphabet, self.symbols[i])
         return self.symbols[i]
 
     def __eq__(self, other):

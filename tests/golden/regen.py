@@ -142,11 +142,18 @@ def _with_twins(argvs):
 
 def argvs():
     """CLI_ARGVS and the bad-input lines, each list with its twins, then a
-    run of a machine file whose header repeats a letter and a gen with the
-    default count."""
+    run of a machine file whose header repeats a letter, a gen with the
+    default count, an unknown fixture family, a scheme rule with no image,
+    a scheme decode line without its symbol, and a regulator value past
+    the ceiling."""
     return _with_twins(CLI_ARGVS) + _with_twins(bad_argvs()) + [
         ["run", "--auto", "{dir}/dup-header.aut", "--spec", "tm"],
-        ["gen", "--spec", "tm"]]
+        ["gen", "--spec", "tm"],
+        ["gen", "--spec", "fixture:tm-quad:1"],
+        ["scheme-validate", "--scheme", "{dir}/rule-no-image.scheme"],
+        ["scheme-validate", "--scheme", "{dir}/decode-arity.scheme"],
+        ["check-regulator", "--spec", "tm", "--reg", "lin:1:281474976710656",
+         "--horizon", "64", "--nmax", "2"]]
 
 
 def run(argv, directory):

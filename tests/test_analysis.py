@@ -51,10 +51,15 @@ def test_occurrences_doubled_block():
 def test_occurrences_rejects_empty_factor():
     with pytest.raises(ValueError):
         occurrences(word("", ap.BINARY), thue_morse(), 0, 10)
+    for lo, hi in ((5, 4), (-1, 4)):
+        with pytest.raises(ValueError, match=rf"^bad scan range \[{lo}, {hi}\]$"):
+            occurrences(word("01"), thue_morse(), lo, hi)
 
 
 def test_occurrences_tm_prefix():
     assert occurrences(word("0"), thue_morse(), 0, 7) == [0, 3, 5, 6]
+    # a factor with letters foreign to the alphabet occurs nowhere
+    assert occurrences(word("ab"), thue_morse(), 0, 7) == []
 
 
 def test_occurrences_overlapping():
@@ -115,6 +120,8 @@ def test_empirical_regulator_horizon_guard():
     assert ap.EmpiricalRegulator(thue_morse(), 1).table == {}
     with pytest.raises(ValueError, match="horizon must be >= 1"):
         ap.EmpiricalRegulator(thue_morse(), 0)
+    with pytest.raises(ValueError, match="^factor length must be >= 1$"):
+        ap.EmpiricalRegulator(thue_morse(), 64).value(0)
 
 
 def factor_stats_per_position(text, n):
@@ -403,6 +410,8 @@ def test_check_regulator_matches_window_by_window_oracle():
             assert v.counterexample.window_len == reg(want[0])
             assert _absent_from_window(text, v.counterexample)
     assert statuses == {"pass", "fail", "inconclusive"}
+    with pytest.raises(ValueError, match="^n_max must be >= 1$"):
+        check_regulator(thue_morse(), ap.identity_plus(1), 64, 0)
 
 
 def test_check_sap_matches_window_by_window_oracle():

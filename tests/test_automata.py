@@ -207,6 +207,12 @@ def test_block_automaton_identity_stays_single_state():
     ba = block_automaton(identity_automaton(), sr)
     assert len(ba.states) == 1
     assert is_reversible(ba)
+    with pytest.raises(ap.AlphabetError,
+                       match="^marker '0' unknown to the automaton$"):
+        block_automaton(identity_automaton().restricted(("1",)), sr)
+    with pytest.raises(ValueError,
+                       match="^restriction would empty the input alphabet$"):
+        identity_automaton().restricted(())
 
 
 def test_block_automaton_simulates_original():
@@ -378,6 +384,9 @@ def test_foreign_input_symbols_are_named():
          "homomorphism"),
         (lambda: hom_apply(Homomorphism(BIN, BIN, {"0": ("1",), "1": ()}), seq,
                            ap.identity_plus(3)), "homomorphism"),
+        # the input is checked before the regulator is asked for r(1)
+        (lambda: hom_apply(Homomorphism(BIN, BIN, {"0": ("1",), "1": ()}), seq,
+                           ap.table_regulator({2: 5})), "homomorphism"),
     ]
     for call, noun in calls:
         with pytest.raises(ap.AlphabetError) as exc:

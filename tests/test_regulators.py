@@ -42,6 +42,8 @@ def test_split_regulator():
     assert rp(4) == 26
     assert rp.provenance == "derived"
     assert reg_split(identity_plus(3), 2).description == "split(k=2) of id+c:3"
+    with pytest.raises(ValueError, match="^max block length must be >= 1$"):
+        reg_split(r2n, 0)
     rp1 = reg_split(identity_plus(1), 1)
     for m in range(1, 10):
         assert rp1(m) == m + 2
@@ -100,6 +102,8 @@ def test_pointwise_max_and_scaled():
         assert m(n) == max(a(n), b(n))
     s = scaled(identity_plus(0), 4)
     assert s(5) == 20
+    with pytest.raises(ValueError, match="^scale factor must be >= 1$"):
+        scaled(a, 0)
 
 
 def test_periodic_regulator():
@@ -129,6 +133,8 @@ def test_call_rejects_value_below_length():
     assert r(2) == 2
     with pytest.raises(ValueError, match=r"^short: r\(3\) = 2 < 3$"):
         r(3)
+    with pytest.raises(ValueError, match="^unknown provenance 'bogus'$"):
+        Regulator(lambda n: n, "bogus", "d")
 
 
 def test_table_regulator_rejects_bad_tables(tmp_path):

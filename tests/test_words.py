@@ -42,6 +42,8 @@ def test_thue_morse_prefix():
 
 def test_periodic_read():
     assert read(periodic(word("ab")), 5, 5).text() == "b"
+    with pytest.raises(ValueError, match="^period word must be non-empty$"):
+        periodic(word("", ap.BINARY))
 
 
 def test_thm21_prefix():
@@ -100,6 +102,8 @@ def test_suffix_shift_identity():
     for n, i, j in [(0, 0, 7), (3, 0, 7), (17, 5, 40), (100, 0, 0)]:
         suf = make_sequence(f"suffix:{n}:tm")
         assert read(suf, i, j).symbols == read(base, n + i, n + j).symbols
+    with pytest.raises(ValueError, match="^suffix shift must be >= 0$"):
+        base.suffix(-1)
 
 
 def test_suffix_full_period_is_identity():
@@ -129,6 +133,9 @@ def test_product_projections_roundtrip():
 def test_prepend_reads():
     s = prepend(word("0"), periodic(word("1", ap.BINARY)))
     assert read(s, 0, 4).text() == "01111"
+    with pytest.raises(ap.AlphabetError,
+                       match="^prepended symbol '2' not in sequence alphabet$"):
+        prepend(word("2", Alphabet(("2",))), thue_morse())
 
 
 def test_window_read_matches_single_reads():
@@ -477,6 +484,8 @@ def test_alphabet_invariants():
         Alphabet(())
     with pytest.raises(ap.AlphabetError):
         word("abc", ap.BINARY)
+    with pytest.raises(ap.AlphabetError, match="^symbol '2' not in alphabet$"):
+        ap.BINARY.index("2")
 
 
 def test_alphabet_letter_codes_round_trip():
