@@ -119,7 +119,7 @@ class Homomorphism(Transducer):
         self.images = {s: self.delta[(None, s)][1] for s in input_alphabet}
 
     def apply_word(self, w):
-        return Word(self.output_alphabet, tuple(itertools.chain.from_iterable(
+        return Word._of(self.output_alphabet, tuple(itertools.chain.from_iterable(
             map(self.images.__getitem__, w))))
 
 
@@ -479,16 +479,32 @@ def reduce_to_reversible(auto, seq, reg):
 # Driving machines: one loop over the linked rows
 
 
+def _composed(first, then):
+    """The initial row of the letter-to-letter rows first feeding the rows
+    then, built ahead: one row per pair reached, ``row[s] == (next, out)``."""
+    rows, pairs = {}, [(first, then)]
+    for a, b in pairs:  # the list grows as new pairs are reached
+        row = rows.setdefault((id(a), id(b)), {})
+        for s, (a2, (o,)) in a.items():
+            b2, out = b[o]
+            if (id(a2), id(b2)) not in rows:
+                pairs.append((a2, b2))
+            row[s] = rows.setdefault((id(a2), id(b2)), {}), out
+    return rows[id(first), id(then)]
+
+
 def _image(machine, seq, stall_limit, name):
     """The stream of a machine run over seq, described as name:seq.  It
     ends after stall_limit consecutive inputs without output (with None,
     never), and an input's error reaches the reader unchanged.  An input
     emits at most the machine's width letters, so a read that needs n more
-    letters needs at least ceil(n / width) more inputs."""
-    pull = _upstream(seq)
-    row = machine._row
-    width = machine._width
-    stalled = 0
+    letters needs at least ceil(n / width) more inputs.  An automaton's
+    image with no stall limit keeps its rows and input, and a machine run
+    over it drives that input through one composed machine (_composed)."""
+    first, source = getattr(seq, "_run", (None, seq))
+    row = machine._row if first is None else _composed(first, machine._row)
+    pull = _upstream(source)
+    width, stalled = machine._width, 0
 
     def fill(need):
         nonlocal row, stalled
@@ -508,8 +524,11 @@ def _image(machine, seq, stall_limit, name):
         row, stalled = r, k
         return out
 
-    return StreamSequence._of_fill(machine.output_alphabet, fill,
-                                   description=f"{name}:{seq.description}")
+    image = StreamSequence._of_fill(machine.output_alphabet, fill,
+                                    description=f"{name}:{seq.description}")
+    if stall_limit is None and isinstance(machine, Automaton):
+        image._run = row, source  # row is still the initial one
+    return image
 
 
 def run(auto, seq, with_states=False):

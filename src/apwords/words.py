@@ -73,6 +73,13 @@ class _Record:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
+class _Strict(dict):
+    """A dict keyed by an alphabet's symbols: other keys raise AlphabetError."""
+
+    def __missing__(self, symbol):
+        raise AlphabetError(f"symbol {symbol!r} not in alphabet")
+
+
 class Alphabet:
     """An ordered finite set of distinct symbols, each with one letter code:
     the character that stands for it wherever a word is scanned as text.
@@ -84,13 +91,12 @@ class Alphabet:
         syms = tuple(symbols)
         if not syms:
             raise AlphabetError("alphabet must be non-empty")
-        index = {}
-        for i, s in enumerate(syms):
-            if s in index:
-                raise AlphabetError(f"duplicate symbol {s!r}")
-            index[s] = i
+        self._index = _Strict(zip(syms, range(len(syms))))
+        if len(self._index) < len(syms):
+            dup = next(s for i, s in enumerate(syms) if s in syms[:i])
+            raise AlphabetError(f"duplicate symbol {dup!r}")
         self._symbols = syms
-        self._index = index
+        self._own = _Strict(zip(syms, syms))  # each symbol to itself
         if all(isinstance(s, str) and len(s) == 1 and s < "\u0100" for s in syms):
             self._codes = self._letters = None  # each symbol is its own code
         else:
@@ -108,10 +114,7 @@ class Alphabet:
         return self._symbols
 
     def index(self, symbol):
-        try:
-            return self._index[symbol]
-        except KeyError:
-            raise AlphabetError(f"symbol {symbol!r} not in alphabet") from None
+        return self._index[symbol]
 
     def encode(self, symbols):
         """The letter codes of symbols of the alphabet, as one string."""
@@ -157,12 +160,14 @@ class Word:
     __slots__ = ("alphabet", "symbols")
 
     def __init__(self, alphabet, symbols):
-        symbols = tuple(symbols)
-        if not alphabet.covers(symbols):
-            bad = next(s for s in symbols if s not in alphabet)
-            raise AlphabetError(f"symbol {bad!r} not in alphabet")
         self.alphabet = alphabet
-        self.symbols = symbols
+        self.symbols = tuple(map(alphabet._own.__getitem__, symbols))
+
+    @classmethod
+    def _of(cls, alphabet, symbols):  # a tuple of the alphabet's symbols
+        w = object.__new__(cls)
+        w.alphabet, w.symbols = alphabet, symbols
+        return w
 
     def __len__(self):
         return len(self.symbols)
@@ -213,14 +218,17 @@ class SequenceHandle:
     """A lazily evaluable infinite word: a pure function of index.
 
     A handle supplies one deterministic range read, ``_read_symbols(i, j)``,
-    which returns letters i..j in one call; composite handles serve it from
-    their children's range reads.  ``read(i, j)`` wraps it in a Word, and
-    ``at(i)`` is the one-letter range read ``_read_symbols(i, i)``; both
-    reject a negative index.  A handle may fill ahead of a read (memoize a
-    chunk, drive a machine further) only where that cannot raise: a failure
-    or the end of a finite word surfaces only when a read reaches its
-    position.  Handles are immutable after construction and safe for
-    concurrent reads.
+    which returns letters i..j in one call as a tuple; composite handles
+    serve it from their children's range reads.  Its letters are in the
+    alphabet unchecked: FuncSequence and the StreamSequence constructor
+    check the letters of user code, and every other handle takes its
+    letters from a child, a machine, a word or a substitution.
+    ``read(i, j)`` wraps them in a Word, and ``at(i)`` is the one-letter
+    range read ``_read_symbols(i, i)``; both reject a negative index.  A
+    handle may fill ahead of a read (memoize a chunk, drive a machine
+    further) only where that cannot raise: a failure or the end of a
+    finite word surfaces only when a read reaches its position.  Handles
+    are immutable after construction and safe for concurrent reads.
     """
 
     def __init__(self, alphabet, description=""):
@@ -235,7 +243,7 @@ class SequenceHandle:
     def read(self, i, j):
         if i < 0 or i > j:
             raise ValueError(f"bad read range [{i}, {j}]")
-        return Word(self.alphabet, self._read_symbols(i, j))
+        return Word._of(self.alphabet, self._read_symbols(i, j))
 
     def suffix(self, n):
         """The handle for index -> self(n + index)."""
@@ -269,9 +277,10 @@ class FuncSequence(SequenceHandle):
     place, under the handle's lock, from its length to the last index a
     read reaches; so fn runs once per index however reads interleave, and
     a fill that fn interrupts resumes where it stopped.  A read raises what
-    fn raises at an index inside it, with the letters before that index
-    still readable.  A read that starts past such an index, or that meets
-    fn's StopIteration (which ends map), calls fn index by index instead."""
+    fn raises at an index inside it, or AlphabetError where fn returns a
+    letter outside the alphabet, with the letters before that index still
+    readable.  A read that starts past such an index, or that meets fn's
+    StopIteration (which ends map), calls fn index by index instead."""
 
     CHUNK = 4096
 
@@ -282,7 +291,7 @@ class FuncSequence(SequenceHandle):
         self._lock = threading.Lock()
 
     def _read_symbols(self, i, j):
-        out = []
+        own, out = self.alphabet._own, []
         for c in range(i // self.CHUNK, j // self.CHUNK + 1):
             base = c * self.CHUNK
             stop = min(j + 1 - base, self.CHUNK)
@@ -291,14 +300,15 @@ class FuncSequence(SequenceHandle):
                 with self._lock:
                     chunk = self._chunks.setdefault(c, [])
                     try:
-                        chunk.extend(map(self._fn, range(base + len(chunk), base + stop)))
+                        chunk.extend(map(own.__getitem__, map(
+                            self._fn, range(base + len(chunk), base + stop))))
                     except Exception:
                         if base + len(chunk) >= i:
                             raise
                 if len(chunk) < stop:
                     # fn raised before i, or raised StopIteration, which map
                     # takes for its end: call fn itself
-                    return tuple([self._fn(k) for k in range(i, j + 1)])
+                    return tuple([own[self._fn(k)] for k in range(i, j + 1)])
             out += chunk[max(i - base, 0):stop]
         return tuple(out)
 
@@ -309,7 +319,8 @@ class StreamSequence(SequenceHandle):
     ``fill(need)`` gets the number of letters the read still needs and
     returns a list of the next letters, as many as it has, or None at the
     end of a finite word, past which reads raise FiniteOutputError.  The
-    constructor's fill reads its iterator a letter a call.  What a fill
+    constructor's fill reads its iterator a letter a call, and raises
+    AlphabetError at a letter outside the alphabet.  What a fill
     raises, a KeyboardInterrupt or StopIteration too, is kept with the
     letters before it and raised unchanged by every read that reaches its
     position.  Fills are serialized so concurrent reads are safe.
@@ -318,7 +329,7 @@ class StreamSequence(SequenceHandle):
     def __init__(self, alphabet, iterator, description=""):
         super().__init__(alphabet, description)
         # a letter a fill, so the letters before the iterator's error are kept
-        letters = map(list, zip(iterator))
+        letters = map(list, zip(map(alphabet._own.__getitem__, iterator)))
         self._fill = lambda need: next(letters, None)
         self._buf = []
         self._error = self._trace = None

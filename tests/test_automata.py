@@ -1000,3 +1000,92 @@ def test_drivers_match_per_letter_references():
                 assert (h_out, h_stalled) == (out, stalled)
                 assert_stream(hom_apply(hom, run(dec_auto, make()), stall_limit=stall),
                               xs, finite, h_out, h_stalled)
+
+
+def test_stacked_images_match_the_references_applied_in_turn():
+    # a machine over a run image drives the run's input through one composed
+    # machine; the inner image, read on its own before and after the outer
+    # read, keeps its own letters
+    rng = random.Random(78)
+    for _ in range(8):
+        for letters, make, xs, finite in reference_inputs(rng):
+            trans, auto = random_machine(rng, letters, "xy")
+            second_trans, second = random_machine(rng, "xy", "01")
+            _, third = random_machine(rng, "01", "xy")
+            mid = ref_run(auto, xs)
+            chains = [
+                (lambda x: run(second, run(auto, x)), ref_run(second, mid)),
+                (lambda x: run(second, run(auto, x), with_states=True),
+                 ref_run(second, mid, with_states=True)),
+                (lambda x: run(third, run(second, run(auto, x))),
+                 ref_run(third, ref_run(second, mid))),
+            ]
+            for chain, expected in chains:
+                assert_stream(chain(make()), xs, finite, expected)
+            dec_auto, hom = transducer_decompose(trans)
+            _, auto_hom = transducer_decompose(auto)
+            for stall in (1, 3, 64, None):
+                out, stalled = ref_transduce(second_trans.delta, second_trans.initial,
+                                             mid, stall)
+                inner = run(auto, make())
+                if xs:
+                    assert inner.read(0, len(xs) // 2).symbols == tuple(mid[:len(xs) // 2 + 1])
+                assert_stream(transducer_run(second_trans, inner, stall_limit=stall),
+                              xs, finite, out, stalled)
+                assert_stream(inner, xs, finite, mid)
+                out, stalled = ref_transduce(trans.delta, trans.initial, xs, stall)
+                inner = run(dec_auto, make())
+                assert_stream(hom_apply(hom, inner, stall_limit=stall),
+                              xs, finite, out, stalled)
+                assert_stream(inner, xs, finite, ref_run(dec_auto, xs))
+                # the with_states image of an automaton is its tracer's image
+                out, stalled = ref_transduce(auto_hom.delta, None,
+                                             ref_run(auto, xs, with_states=True), stall)
+                assert out == mid[:len(out)]
+                assert_stream(hom_apply(auto_hom, run(auto, make(), with_states=True),
+                                        stall_limit=stall), xs, finite, out, stalled)
+
+
+def test_a_machine_over_a_run_image_reads_the_run_input_once():
+    fold = ap.FuncSequence(BIN, lambda i: "01"[bin(i).count("1") % 2], "fold")
+    inner = run(xor_automaton(), fold, with_states=True)
+    _, h = transducer_decompose(xor_automaton())
+    out = hom_apply(h, inner)
+    assert out.description == "hom:run[pairs]:fold"
+    assert read(out, 0, 999).symbols == read(run(xor_automaton(), fold), 0, 999).symbols
+    # the outer stream reads fold itself: the inner stream is never filled
+    assert inner._buf == []
+    assert read(inner, 0, 999).symbols == tuple(ref_run(xor_automaton(),
+                                                        read(fold, 0, 999), True))
+
+
+def foreign_after_five():
+    return ap.FuncSequence(BIN, lambda i: "01"[i % 2] if i < 5 else "2", "foreign")
+
+
+@pytest.mark.parametrize("make, good", [
+    (foreign_after_five, 5),
+    (lambda: ap.StreamSequence(BIN, iter("0120")), 2),
+], ids=["index-function", "iterator"])
+def test_a_foreign_letter_fails_at_its_own_index_through_machines(make, good):
+    # letters of user code are checked where they enter, so a machine gets
+    # the letters before a foreign one and the foreign one as AlphabetError
+    h = Homomorphism(BIN, BIN, {"0": ("1",), "1": ("0",)})
+    expected = "10101"[:good]
+    for image in (lambda seq: run(swap_automaton(), seq),
+                  lambda seq: hom_apply(h, seq),
+                  lambda seq: hom_apply(h, run(identity_automaton(), seq)),
+                  lambda seq: run(swap_automaton(), run(identity_automaton(), seq))):
+        seq = make()
+        out = image(seq)
+        assert read(out, 0, good - 1).text() == expected
+        errors = []
+        for i in (good, good, good + 7):
+            with pytest.raises(ap.AlphabetError, match="^symbol '2' not in alphabet$") as exc:
+                out.at(i)
+            errors.append(exc.value)
+        assert errors[0] is errors[1] is errors[2]
+        assert read(out, 0, good - 1).text() == expected
+        assert read(seq, 0, good - 1).text() == "01010"[:good]
+        with pytest.raises(ap.AlphabetError, match="^symbol '2' not in alphabet$"):
+            read(seq, 0, 9)

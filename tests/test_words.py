@@ -477,6 +477,39 @@ def test_func_sequence_raises_only_where_a_read_reaches_a_failing_index():
     assert read(seq, 0, 3).text() + read(seq, 8192, 8193).text() == "010101"
 
 
+def test_func_sequence_checks_each_letter_where_fn_makes_it():
+    # a foreign letter fails at its own index, like an error of fn, also on
+    # a read that starts past an earlier failure and so calls fn index by index
+    def fn(i):
+        if i == 3:
+            raise ZeroDivisionError(i)
+        return "2" if i in (6, 5000) else "01"[i % 2]
+
+    seq = ap.FuncSequence(ap.BINARY, fn, "foreign at 6 and 5000")
+    for _ in range(2):
+        assert read(seq, 0, 2).text() == "010"
+        with pytest.raises(ZeroDivisionError):
+            read(seq, 0, 9)
+        assert read(seq, 4, 5).text() == "01"
+        with pytest.raises(ap.AlphabetError, match="^symbol '2' not in alphabet$"):
+            read(seq, 4, 9)
+        with pytest.raises(ap.AlphabetError, match="^symbol '2' not in alphabet$"):
+            seq.at(6)
+        assert read(seq, 7, 4999).text() == ("01" * 2500)[7:5000]
+        with pytest.raises(ap.AlphabetError):
+            read(seq, 4990, 5010)
+        assert read(seq, 5001, 5002).text() == "10"
+
+
+def test_stream_sequence_checks_each_letter_of_its_iterator():
+    seq = ap.StreamSequence(ap.BINARY, iter("0120"))
+    assert read(seq, 0, 1).text() == "01"
+    for _ in range(2):
+        with pytest.raises(ap.AlphabetError, match="^symbol '2' not in alphabet$"):
+            read(seq, 0, 3)
+    assert read(seq, 0, 1).text() == "01"
+
+
 def test_alphabet_invariants():
     with pytest.raises(ap.AlphabetError):
         Alphabet(("a", "a"))
