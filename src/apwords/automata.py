@@ -479,18 +479,25 @@ def reduce_to_reversible(auto, seq, reg):
 # Driving machines: one loop over the linked rows
 
 
-def _composed(first, then):
-    """The initial row of the letter-to-letter rows first feeding the rows
-    then, built ahead: one row per pair reached, ``row[s] == (next, out)``."""
-    rows, pairs = {}, [(first, then)]
-    for a, b in pairs:  # the list grows as new pairs are reached
+def _composed(first, grow, then):
+    """The letter-to-letter rows first (grow builds their missing steps)
+    feeding the rows then, as one machine built as letters reach it: its
+    initial row, and step(row, s), which builds ``row[s] == (next, out)``."""
+    rows, pairs = {}, {}
+
+    def row_of(a, b):
         row = rows.setdefault((id(a), id(b)), {})
-        for s, (a2, (o,)) in a.items():
-            b2, out = b[o]
-            if (id(a2), id(b2)) not in rows:
-                pairs.append((a2, b2))
-            row[s] = rows.setdefault((id(a2), id(b2)), {}), out
-    return rows[id(first), id(then)]
+        pairs[id(row)] = a, b
+        return row
+
+    def step(row, s):
+        a, b = pairs[id(row)]
+        a2, (o,) = a.get(s) or grow(a, s)
+        b2, out = b[o]
+        row[s] = found = row_of(a2, b2), out
+        return found
+
+    return row_of(first, then), step
 
 
 def _image(machine, seq, stall_limit, name):
@@ -501,8 +508,10 @@ def _image(machine, seq, stall_limit, name):
     letters needs at least ceil(n / width) more inputs.  An automaton's
     image with no stall limit keeps its rows and input, and a machine run
     over it drives that input through one composed machine (_composed)."""
-    first, source = getattr(seq, "_run", (None, seq))
-    row = machine._row if first is None else _composed(first, machine._row)
+    row, grow, source = machine._row, dict.__getitem__, seq
+    if hasattr(seq, "_run"):
+        *first, source = seq._run
+        row, grow = _composed(*first, row)
     pull = _upstream(source)
     width, stalled = machine._width, 0
 
@@ -512,7 +521,10 @@ def _image(machine, seq, stall_limit, name):
             return None
         out, r, k = [], row, stalled  # locals, not cells: the loop runs per input
         for s in pull(-(-need // width) if width else _CHUNK):
-            r, o = r[s]
+            try:
+                r, o = r[s]
+            except KeyError:  # a composed row's step not built yet
+                r, o = grow(r, s)
             if o:
                 k = 0
                 out += o
@@ -527,7 +539,7 @@ def _image(machine, seq, stall_limit, name):
     image = StreamSequence._of_fill(machine.output_alphabet, fill,
                                     description=f"{name}:{seq.description}")
     if stall_limit is None and isinstance(machine, Automaton):
-        image._run = row, source  # row is still the initial one
+        image._run = row, grow, source  # row is still the initial one
     return image
 
 

@@ -91,11 +91,13 @@ class Alphabet:
         syms = tuple(symbols)
         if not syms:
             raise AlphabetError("alphabet must be non-empty")
-        self._index = _Strict(zip(syms, range(len(syms))))
-        if len(self._index) < len(syms):
-            dup = next(s for i, s in enumerate(syms) if s in syms[:i])
-            raise AlphabetError(f"duplicate symbol {dup!r}")
+        index = {}
+        for i, s in enumerate(syms):
+            if s in index:
+                raise AlphabetError(f"duplicate symbol {s!r}")
+            index[s] = i
         self._symbols = syms
+        self._index = index
         self._own = _Strict(zip(syms, syms))  # each symbol to itself
         if all(isinstance(s, str) and len(s) == 1 and s < "\u0100" for s in syms):
             self._codes = self._letters = None  # each symbol is its own code
@@ -114,7 +116,10 @@ class Alphabet:
         return self._symbols
 
     def index(self, symbol):
-        return self._index[symbol]
+        try:
+            return self._index[symbol]
+        except KeyError:
+            raise AlphabetError(f"symbol {symbol!r} not in alphabet") from None
 
     def encode(self, symbols):
         """The letter codes of symbols of the alphabet, as one string."""
@@ -219,11 +224,12 @@ class SequenceHandle:
 
     A handle supplies one deterministic range read, ``_read_symbols(i, j)``,
     which returns letters i..j in one call as a tuple; composite handles
-    serve it from their children's range reads.  Its letters are in the
-    alphabet unchecked: FuncSequence and the StreamSequence constructor
-    check the letters of user code, and every other handle takes its
-    letters from a child, a machine, a word or a substitution.
-    ``read(i, j)`` wraps them in a Word, and ``at(i)`` is the one-letter
+    serve it from their children's range reads.  Its letters must be in
+    the alphabet.  This module's handles keep that unchecked: FuncSequence
+    and the StreamSequence constructor check the letters of user code, and
+    every other handle takes its letters from a child, a machine, a word or
+    a substitution.  ``read(i, j)`` wraps them in a Word, checked for a
+    handle class defined elsewhere, and ``at(i)`` is the one-letter
     range read ``_read_symbols(i, i)``; both reject a negative index.  A
     handle may fill ahead of a read (memoize a chunk, drive a machine
     further) only where that cannot raise: a failure or the end of a
@@ -243,6 +249,8 @@ class SequenceHandle:
     def read(self, i, j):
         if i < 0 or i > j:
             raise ValueError(f"bad read range [{i}, {j}]")
+        if type(self).__module__ != __name__:  # a handle of user code
+            return Word(self.alphabet, self._read_symbols(i, j))
         return Word._of(self.alphabet, self._read_symbols(i, j))
 
     def suffix(self, n):

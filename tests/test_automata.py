@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -1057,6 +1058,23 @@ def test_a_machine_over_a_run_image_reads_the_run_input_once():
     assert inner._buf == []
     assert read(inner, 0, 999).symbols == tuple(ref_run(xor_automaton(),
                                                         read(fold, 0, 999), True))
+
+
+def test_composed_machines_build_only_the_pairs_their_letters_reach():
+    # coprime periods 1000 and 1001 advance in lockstep through 1001000
+    # pairs of states; reading a few letters builds a few of them
+    first = cyclic_automaton(word("0" * 999 + "1"), BIN)
+    then = cyclic_automaton(word("1" + "0" * 1000), first.output_alphabet)
+    tracemalloc.start()
+    try:
+        out = run(then, run(first, thue_morse()))
+        letters = read(out, 0, 199).symbols
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tm = read(thue_morse(), 0, 199).symbols
+    assert letters == tuple(ref_run(then, ref_run(first, tm)))
+    assert peak < 2 ** 20
 
 
 def foreign_after_five():

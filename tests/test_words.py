@@ -510,6 +510,17 @@ def test_stream_sequence_checks_each_letter_of_its_iterator():
     assert read(seq, 0, 1).text() == "01"
 
 
+def test_read_checks_the_letters_of_a_handle_class_defined_elsewhere():
+    class Digits(ap.SequenceHandle):
+        def _read_symbols(self, i, j):
+            return tuple(str(k % 3) for k in range(i, j + 1))
+
+    seq = Digits(ap.BINARY, "digits")
+    assert read(seq, 0, 1).text() == "01"
+    with pytest.raises(ap.AlphabetError, match="^symbol '2' not in alphabet$"):
+        read(seq, 0, 2)
+
+
 def test_alphabet_invariants():
     with pytest.raises(ap.AlphabetError):
         Alphabet(("a", "a"))
