@@ -840,16 +840,21 @@ def test_concurrent_reads_agree_and_fill_each_index_once():
     calls = []
     base = counted_thue_morse(calls, yield_gil=True)
     out = run(xor_automaton(), base)
+    # stacked images: both outer ones build steps of mid's composed rows
+    # while mid's own fills do
+    mid = run(swap_automaton(), out)
+    handles = (base, out, mid, run(identity_automaton(), mid),
+               run(swap_automaton(), mid))
     ranges = [(t * 1500, t * 1500 + 7000) for t in range(4)]
     start = threading.Barrier(len(ranges))
     results = {}
 
     def reader(i, j):
-        # many short reads, so that fills of the two handles interleave
+        # many short reads, so that fills of the handles interleave
         start.wait(timeout=60)
-        got = [], []
+        got = tuple([] for _ in handles)
         for k in range(i, j + 1, 50):
-            for seq, letters in zip((base, out), got):
+            for seq, letters in zip(handles, got):
                 letters += read(seq, k, min(k + 49, j)).symbols
         results[i] = tuple(map(tuple, got))
 
@@ -866,8 +871,10 @@ def test_concurrent_reads_agree_and_fill_each_index_once():
         sys.setswitchinterval(interval)
     tm_letters = read(thue_morse(), 0, 11500).symbols
     xor = ref_run(xor_automaton(), tm_letters)
+    swapped = ref_run(swap_automaton(), xor)
     for i, j in ranges:
-        assert results[i] == (tm_letters[i:j + 1], tuple(xor[i:j + 1]))
+        x, y = tuple(xor[i:j + 1]), tuple(swapped[i:j + 1])
+        assert results[i] == (tm_letters[i:j + 1], x, y, y, x)
     assert sorted(calls) == list(range(len(calls)))
 
 
