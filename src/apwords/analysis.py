@@ -10,7 +10,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import accumulate, compress, count, islice, repeat
-from operator import add, eq, itemgetter, sub
+from operator import add, itemgetter, sub
 
 from .errors import ResourceLimitError
 from .regulators import Regulator
@@ -464,19 +464,45 @@ def check_sap(seq, horizon, n_max):
     return Verdict("pass", horizon, note="pass-at-horizon")
 
 
-# Periods below this get one XOR over the whole word, longer ones window names.
+# Periods below this get one XOR over the whole word; longer ones compare
+# the names of windows this many letters long
 _SHORT_PERIOD = 64
-_window_name = hash  # equal windows get equal names; a match is only a filter
 
 
-def _cube_start(x, size, p, width, start=0):
-    """The first letter >= start from which x, letter codes (width bytes a
-    letter) XOR their shift by p letters, holds 2p zero letters, or -1."""
-    d, zeros = x.to_bytes(size, "big"), bytes(2 * p * width)
-    j = d.find(zeros, start * width)
-    while j % width and j > 0:
-        j = d.find(zeros, j - j % width + width)
-    return j // width
+def _mixed(x):
+    """64 well-mixed bits of x (the splitmix64 finalizer)."""
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x = (x ^ x >> shift) * factor % 2 ** 64
+    return x ^ x >> 31
+
+
+_WEIGHTS = tuple(map(_mixed, range(1, _SHORT_PERIOD + 1)))
+
+
+def _window_names(codes, width):
+    """Lane s of z bytes (4, or 8 for 4-byte letter codes) names the window
+    of letters s..s+63 by the exact sum over j of code[s + j] * w_j, w_j the
+    top 8z - 8 width - 6 bits of _WEIGHTS[j]: the codes in lanes times one
+    constant, whose product no lane carries out of, so equal windows get
+    equal names.  A shared name is only a filter."""
+    z, n = 4 if width == 1 else 8, len(codes) // width
+    lanes = bytearray(z * n)
+    for b in range(width):
+        lanes[z - width + b::z] = codes[b::width]
+    bits = 8 * (z - width) - 6  # so 64 terms code * w_j sum below 2**(8z)
+    weights = sum(w >> 64 - bits << 8 * z * j for j, w in enumerate(_WEIGHTS))
+    names = (int.from_bytes(lanes, "big") * weights).to_bytes(z * (n + 63), "big")
+    return memoryview(names)[63 * z:n * z].cast("I" if z == 4 else "Q")
+
+
+def _zero_run(d, run, unit, start=0):
+    """The first index >= start, in units of unit bytes, at which bytes d
+    hold run zero units, or -1."""
+    zeros = bytes(run * unit)
+    j = d.find(zeros, start * unit)
+    while j % unit and j > 0:
+        j = d.find(zeros, j - j % unit + unit)
+    return j // unit
 
 
 def is_cube_free(w):
@@ -487,8 +513,10 @@ def is_cube_free(w):
     occur), read as a number, XOR their shift by p to zero.
     Below _SHORT_PERIOD, one find over that XOR of the whole word gives the
     leftmost cube.  A longer cube holds an anchor t = kp (k >= 1) with equal
-    p-blocks, so equal first windows; only anchors whose window names match
-    get the exact block compare and the XOR over w[t-p:t+3p].  The witness
+    p-blocks, so equal first windows.  Periods go in bands [lo, 2 lo): for
+    each k, one XOR of the band's window names at kp and (k + 1)p finds the
+    anchors whose names match, and only those get the exact block compare
+    and the XOR over w[t-p:t+3p], in (period, anchor) order.  The witness
     has the least period, then leftmost start.
     """
     text, k = w.alphabet.encode(w.symbols), len(w.alphabet)
@@ -500,23 +528,32 @@ def is_cube_free(w):
         codes, width = text.encode("utf-32-be", "surrogatepass"), 4
     n, size, whole = len(text), len(codes), int.from_bytes(codes, "big")
     for p in range(1, min(n // 3 + 1, _SHORT_PERIOD)):
-        i = _cube_start(whole ^ whole >> 8 * width * p, size, p, width, p)
+        d = (whole ^ whole >> 8 * width * p).to_bytes(size, "big")
+        i = _zero_run(d, 2 * p, width, p)
         if i >= 0:
             return _cube(w, p, i - p)
-    span, view = _SHORT_PERIOD * width, memoryview(codes)
-    names = array("q", map(_window_name, map(codes.__getitem__, map(
-        slice, range(0, size, width), range(span, size + 1, width)))))
-    for p in range(_SHORT_PERIOD, n // 3 + 1):
-        same = map(eq, names[p:n - 2 * p + 1:p], names[2 * p:n - p + 1:p])
-        for t in compress(range(p, n, p), same):
+    view, lo, names = memoryview(codes), _SHORT_PERIOD, _window_names(codes, width)
+    z = names.itemsize
+    while lo <= n // 3:
+        top, hits = min(2 * lo, n // 3 + 1), []
+        for k in range(1, n // lo - 1):  # periods p < stop have (k + 2)p <= n
+            stop = min(top, n // (k + 2) + 1)
+            x = (int.from_bytes(names[k * lo:k * stop:k], "big")
+                 ^ int.from_bytes(names[(k + 1) * lo:(k + 1) * stop:k + 1], "big"))
+            d, j = x.to_bytes((stop - lo) * z, "big"), -1
+            while (j := _zero_run(d, 1, z, j + 1)) >= 0:
+                hits.append((lo + j, k))
+        for p, k in sorted(hits):
+            t = k * p
             a, b, c = t * width, (t + p) * width, (t + 2 * p) * width
             if view[a:b] != view[b:c]:
                 continue
             low, high = view[2 * a - b:min(c, size - b + a)], view[a:2 * c - b]
             x = int.from_bytes(low, "big") ^ int.from_bytes(high, "big")
-            i = _cube_start(x, len(low), p, width)
+            i = _zero_run(x.to_bytes(len(low), "big"), 2 * p, width)
             if i >= 0:
                 return _cube(w, p, t - p + i)
+        lo *= 2
     return Verdict("pass", n)
 
 

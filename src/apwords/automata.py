@@ -136,7 +136,8 @@ def _tracer(machine):
 def _upstream(seq, i=0):
     """A fill function need -> the next letters of seq from index i on: one
     range read a call, of need letters (a lower bound on what the caller
-    still needs), but at least _FLOOR and at most _CHUNK.
+    still needs), but at least _FLOOR and at most _CHUNK.  Reads go through
+    seq.read, so the letters of a handle class defined elsewhere are checked.
 
     Once a range read fails (seq ends or fails inside it), that range is
     read letter by letter, so the error surfaces where a per-letter reader
@@ -151,7 +152,7 @@ def _upstream(seq, i=0):
             raise error
         n = min(max(need, _FLOOR), _CHUNK)
         try:
-            letters = seq._read_symbols(i, i + n - 1)
+            letters = seq.read(i, i + n - 1).symbols
         except Exception as exc:
             error = exc
         else:
@@ -161,7 +162,7 @@ def _upstream(seq, i=0):
         letters = []
         for k in range(i, i + n):
             try:
-                letters.append(seq.at(k))
+                letters.append(seq.read(k, k)[0])
             except Exception as exc:
                 error = exc
                 return letters

@@ -372,7 +372,10 @@ class StreamSequence(SequenceHandle):
                 if self._error is not None:
                     raise self._error.with_traceback(self._trace)
                 raise FiniteOutputError(len(buf))
-        return tuple(buf[i:j + 1])
+        if i or len(buf) > j + 1:
+            return tuple(buf[i:j + 1])
+        letters = tuple(buf)  # the whole buffer, with no slice of it
+        return letters if len(letters) == j + 1 else letters[:j + 1]
 
 
 def read(seq, i, j):

@@ -33,7 +33,14 @@ from apwords import (
     verdict_tsv,
     word,
 )
-from apwords.analysis import FactorIndex, _factor_stats, _seq_text, _widest_gap
+from apwords.analysis import (
+    _WEIGHTS,
+    FactorIndex,
+    _factor_stats,
+    _seq_text,
+    _widest_gap,
+    _window_names,
+)
 from apwords.words import Word
 
 
@@ -752,6 +759,64 @@ def test_cube_free_accepts_only_whole_letters_of_wide_codes():
         assert is_cube_free(w) == cube_scan_per_letter(w) == Verdict("pass", len(codes))
 
 
+def _names_by_sums(codes, width):
+    """Window names as the direct weighted sum per 64-letter window."""
+    z = 4 if width == 1 else 8
+    weights = [w >> 64 - (8 * z - 8 * width - 6) for w in _WEIGHTS]
+    letters = [int.from_bytes(codes[i:i + width], "big")
+               for i in range(0, len(codes), width)]
+    return b"".join(
+        sum(map(int.__mul__, letters[s:s + 64], weights)).to_bytes(z, "big")
+        for s in range(len(letters) - 63))
+
+
+def test_window_names_carry_nothing_at_the_widest_codes():
+    # every byte 0xFF at width 1; at width 4, 302 distinct letters, with
+    # code points up to 0x10FFFF and a run of 100 of that one
+    rng = random.Random(7)
+    wide = [0x10FFFF, 0xFFFF, *rng.sample(range(0x10000, 0x110000), 300)]
+    for codes, width in [
+        (bytes([0xFF]) * 300, 1),
+        (bytes(rng.choice((0, 1, 0xFE, 0xFF)) for _ in range(400)), 1),
+        ("".join(map(chr, [0x10FFFF] * 100 + wide)).encode("utf-32-be"), 4),
+    ]:
+        assert _window_names(codes, width).tobytes() == _names_by_sums(codes, width)
+
+
+@pytest.mark.parametrize("p, cube_at, near_at", [
+    (64, 128, None), (127, 5, 138), (128, 130, None), (255, 5, 266),
+    (256, 269, None), (2 ** 12 // 3, 0, 2),
+])
+def test_cube_free_matches_per_letter_scan_at_the_band_edges(p, cube_at, near_at):
+    # Periods from _SHORT_PERIOD on are searched in bands [lo, 2 lo).  A
+    # cube planted at cube_at, or a near-cube (an agreement run of 2p - 1)
+    # at near_at, makes no shorter cube at its seams; on this prefix every
+    # near-cube of period 2^k makes one.
+    n = 2 ** 12
+    tm = _tm_letters(n)
+    for run in (2 * p, 2 * p - 1):
+        for i in {0, cube_at, near_at or 0, n - p - run} & set(range(n - p - run + 1)):
+            w = Word(ap.BINARY, tuple(_plant(tm, i, p, run)))
+            got = is_cube_free(w)
+            assert got == cube_scan_per_letter(w), (p, run, i)
+            if (run, i) == (2 * p, cube_at):
+                assert got.failures[0][0] == p
+            if (run, i) == (2 * p - 1, near_at):
+                assert got == Verdict("pass", n)
+
+
+def test_cube_free_takes_the_least_period_of_a_band_before_an_earlier_anchor():
+    # cubes of periods 100 and 70, both in the band [64, 128): the one of
+    # period 70 wins, though the one of period 100 holds an earlier anchor
+    rng = random.Random(3)
+    s = [rng.randrange(200) for _ in range(4000)]
+    s = _plant(_plant(s, 5, 100, 200), 2000, 70, 140)
+    w = Word(Alphabet(range(200)), tuple(s))
+    got = is_cube_free(w)
+    assert got == cube_scan_per_letter(w)
+    assert (got.failures[0][0], got.counterexample.window_start) == (70, 2000)
+
+
 def test_cube_free_window_names_are_only_a_filter(monkeypatch):
     rng = random.Random(4)
     words = [read(make_sequence(_random_cube_spec(rng, family)), 0, h - 1)
@@ -761,7 +826,8 @@ def test_cube_free_window_names_are_only_a_filter(monkeypatch):
     words += [Word(ap.BINARY, tuple(_plant(tm, 300, p, 2 * p))) for p in (64, 65, 900)]
     words.append(read(thue_morse(), 0, 2 ** 12 - 1))
     expected = [is_cube_free(w) for w in words]
-    monkeypatch.setattr(ap.analysis, "_window_name", lambda window: 0)
+    # zero weights give every window the name 0: every anchor is a match
+    monkeypatch.setattr(ap.analysis, "_WEIGHTS", (0,) * 64)
     assert [is_cube_free(w) for w in words] == expected
     assert expected == [cube_scan_per_letter(w) for w in words]
     assert {v.status for v in expected} == {"pass", "fail"}

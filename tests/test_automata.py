@@ -1088,17 +1088,27 @@ def foreign_after_five():
     return ap.FuncSequence(BIN, lambda i: "01"[i % 2] if i < 5 else "2", "foreign")
 
 
+class Digits(ap.SequenceHandle):
+    """A handle class of user code whose letter k is k mod 3."""
+
+    def _read_symbols(self, i, j):
+        return tuple(str(k % 3) for k in range(i, j + 1))
+
+
 @pytest.mark.parametrize("make, good", [
     (foreign_after_five, 5),
     (lambda: ap.StreamSequence(BIN, iter("0120")), 2),
-], ids=["index-function", "iterator"])
+    (lambda: Digits(BIN, "digits"), 2),
+], ids=["index-function", "iterator", "handle-class"])
 def test_a_foreign_letter_fails_at_its_own_index_through_machines(make, good):
     # letters of user code are checked where they enter, so a machine gets
     # the letters before a foreign one and the foreign one as AlphabetError
     h = Homomorphism(BIN, BIN, {"0": ("1",), "1": ("0",)})
+    t = Transducer(BIN, BIN, ("q",), "q", {("q", s): ("q", o) for s, o in h.images.items()})
     expected = "10101"[:good]
     for image in (lambda seq: run(swap_automaton(), seq),
                   lambda seq: hom_apply(h, seq),
+                  lambda seq: transducer_run(t, seq),
                   lambda seq: hom_apply(h, run(identity_automaton(), seq)),
                   lambda seq: run(swap_automaton(), run(identity_automaton(), seq))):
         seq = make()

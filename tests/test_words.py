@@ -1,5 +1,7 @@
 """Sequence constructions, schemes, and the spec mini-language."""
 
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -185,6 +187,29 @@ def test_stream_sequence_finite_output():
     assert read(s, 0, 3).text() == "0101"
     with pytest.raises(ap.FiniteOutputError):
         s.at(4)
+
+
+def test_a_whole_buffer_read_holds_one_copy_of_the_letters():
+    n = 2 ** 16
+    seq = ap.StreamSequence._of_fill(ap.BINARY, lambda need: ["1"] * need)
+    assert len(read(seq, 0, n - 1)) == len(seq._buf) == n
+    tracemalloc.start()
+    try:
+        w = read(seq, 0, n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.symbols == ("1",) * n
+    assert peak < 1.5 * sys.getsizeof(w.symbols)  # the tuple, and no list slice
+
+    class FilledDuringCopy(list):
+        def __iter__(self):  # a concurrent fill between the length check and the copy
+            self.append("0")
+            return super().__iter__()
+
+    seq._buf = FilledDuringCopy(seq._buf)
+    assert read(seq, 0, n - 1) == w and len(seq._buf) == n + 1
+    assert read(seq, 1, n).symbols == w.symbols[1:] + ("0",)
 
 
 def test_negative_index_is_rejected_like_a_negative_read():
