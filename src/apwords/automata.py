@@ -407,8 +407,16 @@ def reduce_to_reversible(auto, seq, reg):
     iterated-composition bound.
 
     At each step the machine is first restricted to the letters recurring in
-    the current sequence; among the remaining non-injective letters the one
-    with the smallest state image is chosen (ties by alphabet order).
+    the current sequence, read off the regulator window (infinite_letters);
+    among its non-injective letters the one with the smallest state image is
+    chosen (ties by alphabet order).  A split block holding a letter outside
+    the window is an invariant violation; the dropped prefix may hold any
+    letter, and the block machine reads it with the whole machine.  Two
+    invariants need no check.
+    The next machine's states are the chosen letter's image, which is
+    smaller than the state set, so the state count falls at every step.
+    And the loop ends only when every kept letter permutes the states,
+    which is what is_reversible checks of the final machine.
     """
     _check_input(auto, seq)
     bound = reg_iterated_bound(reg, len(auto.states))
@@ -436,12 +444,17 @@ def reduce_to_reversible(auto, seq, reg):
             key=lambda s: (len(images[s]), restricted.input_alphabet.index(s)),
         )
         sr = split(cur_seq, letter, cur_reg)
+        for block in sr.decode.values():
+            missing = [s for s in block if s not in letters]
+            if missing:
+                r1 = cur_reg(1)
+                raise InvariantViolation(
+                    f"letter {missing[0]!r} of block {block.text()!r} is missing "
+                    f"from the regulator window [{r1}, {2 * r1 - 1}]")
         dropped = cur_seq.read(0, sr.offset - 1).symbols
         step_deleted = sum(span[s] for s in dropped)
         deleted += step_deleted
-        nxt_auto = block_automaton(restricted, sr)
-        if len(nxt_auto.states) >= len(restricted.states):
-            raise InvariantViolation("state count failed to decrease")
+        nxt_auto = block_automaton(cur_auto, sr)
         steps.append(
             ReductionStep(
                 letter=letter,
@@ -451,8 +464,6 @@ def reduce_to_reversible(auto, seq, reg):
                 deleted_letters=step_deleted,
             )
         )
-        if len(steps) > len(auto.states):
-            raise InvariantViolation("more reduction steps than initial states")
         span = {
             b: sum(span[s] for s in sr.decode[b].symbols)
             for b in sr.block_alphabet
@@ -465,15 +476,12 @@ def reduce_to_reversible(auto, seq, reg):
         raise InvariantViolation(
             f"deleted prefix {deleted} exceeds the theorem bound {bound}"
         )
-    report = ReductionReport(
+    return ReductionReport(
         steps=steps,
         final_automaton=final,
         deleted_prefix_len=deleted,
         theorem_bound=bound,
     )
-    if not is_reversible(report.final_automaton):
-        raise InvariantViolation("final automaton is not reversible")
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -264,8 +264,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code = dispatch(args)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         code = EXIT_RESOURCE
     except (SpecParseError, ApwordsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

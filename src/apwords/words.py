@@ -259,24 +259,30 @@ class SequenceHandle:
             raise ValueError("suffix shift must be >= 0")
         if n == 0:
             return self
-        return _Suffix(self, n, f"suffix:{n}:{self.description}")
+        return _View((), self, n, f"suffix:{n}:{self.description}")
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.description!r}>"
 
 
-class _Suffix(SequenceHandle):
-    """An offset view: reads go to the base handle and share its memo."""
+class _View(SequenceHandle):
+    """The letters of head, then those of seq from letter n on, kept as a
+    head word, then a base handle read from letter shift on.  A view of a
+    view folds into one view of its base, so views never stack, and reads
+    past the head share the base's memo."""
 
-    def __init__(self, base, shift, description):
-        super().__init__(base.alphabet, description)
-        if isinstance(base, _Suffix):
-            base, shift = base._base, base._shift + shift
-        self._base = base
-        self._shift = shift
+    def __init__(self, head, seq, n, description):
+        super().__init__(seq.alphabet, description)
+        if isinstance(seq, _View):
+            head += seq._head[n:]
+            seq, n = seq._base, seq._shift + max(0, n - len(seq._head))
+        self._head, self._base, self._shift = head, seq, n
 
     def _read_symbols(self, i, j):
-        return self._base._read_symbols(self._shift + i, self._shift + j)
+        head, shift = self._head, self._shift - len(self._head)
+        if j < len(head):
+            return head[i:j + 1]
+        return head[i:] + self._base._read_symbols(max(i, len(head)) + shift, j + shift)
 
 
 class FuncSequence(SequenceHandle):
@@ -444,20 +450,6 @@ def periodic(w):
     return _Periodic(w)
 
 
-class _Prepend(SequenceHandle):
-    def __init__(self, w, seq):
-        super().__init__(seq.alphabet, f"prepend:{w.text()}:{seq.description}")
-        self._head = w.symbols
-        self._seq = seq
-
-    def _read_symbols(self, i, j):
-        head = self._head
-        k = len(head)
-        if j < k:
-            return head[i:j + 1]
-        return head[i:] + self._seq._read_symbols(max(i - k, 0), j - k)
-
-
 def prepend(w, seq):
     """The sequence w(0) ... w(k-1) seq(0) seq(1) ..."""
     if isinstance(w, str):
@@ -465,7 +457,7 @@ def prepend(w, seq):
     for s in w.symbols:
         if s not in seq.alphabet:
             raise AlphabetError(f"prepended symbol {s!r} not in sequence alphabet")
-    return _Prepend(w, seq)
+    return _View(w.symbols, seq, 0, f"prepend:{w.text()}:{seq.description}")
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +518,7 @@ _STRETCH = 4096
 
 
 class _FixedPoint(SequenceHandle):
-    """The decoded fixed point x of a substitution sigma, read from letter
-    ``first`` on.
+    """The decoded fixed point x of a substitution sigma.
 
     Let f map a label to the first label of its image, which leads from the
     start back to it in P steps.  With s_n = f^(-n mod P)(start), sigma^n(s_n)
@@ -540,9 +531,8 @@ class _FixedPoint(SequenceHandle):
     that prefix raises ResourceLimitError.
     """
 
-    def __init__(self, spec, description, first=0):
+    def __init__(self, spec, description):
         super().__init__(spec.base_alphabet(), description)
-        self._first = first
         self._rules = rules = {lab: tuple(spec.rules[lab]) for lab in spec.labels}
         cycle = [spec.start]
         while rules[cycle[-1]][0] != spec.start:
@@ -579,17 +569,16 @@ class _FixedPoint(SequenceHandle):
         return lab, i
 
     def _read_symbols(self, i, j):
-        lo, hi = i + self._first, j + self._first + 1
         end = self._prefixes[-1]
-        if hi > end:
+        if j >= end:
             raise ResourceLimitError(
-                f"index {i if lo >= end else j} exceeds ceiling {DEFAULT_CEILING}")
+                f"index {i if i >= end else j} exceeds ceiling {DEFAULT_CEILING}")
         pieces = []
-        while lo < hi:
-            lab, r = self._locate(lo)
+        while i <= j:
+            lab, r = self._locate(i)
             image = self._images[lab]
-            pieces.append(image[r:r + hi - lo])
-            lo += len(image) - r
+            pieces.append(image[r:r + j + 1 - i])
+            i += len(image) - r
         return self.alphabet.decode("".join(pieces))
 
 
@@ -618,7 +607,7 @@ def _pasted(pattern, description):
     """c_0 c_1 c_2 ..., c_n the level-n quintuple block repeated
     pattern[n mod P] times (P the period), as the fixed point of the
     quintuple rules and m_j -> m_(j+1 mod P) 1^pattern[-1-j mod P] over
-    markers m_0 ... m_(P-1), read from letter 1.  From the start m_0,
+    markers m_0 ... m_(P-1), viewed from letter 1.  From the start m_0,
     s_n = m_(-n mod P) and sigma^n(s_n) = m_0 c_0 ... c_(n-1)."""
     period = len(pattern)
     markers = tuple(f"m{j}" for j in range(period))
@@ -627,7 +616,7 @@ def _pasted(pattern, description):
         rules[m] = (markers[(j + 1) % period],) + ("1",) * pattern[(-1 - j) % period]
     decode = dict(_IDENTITY, **dict.fromkeys(markers, "1"))
     spec = SchemeSpec(Alphabet(("0", "1") + markers), rules, decode, markers[0])
-    return _FixedPoint(spec, description, first=1)
+    return _View((), _FixedPoint(spec, ""), 1, description)
 
 
 # Built once: the constructors below hand out copies, which share the level

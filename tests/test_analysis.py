@@ -193,6 +193,11 @@ def test_factor_index_matches_per_position_scan_on_thue_morse():
     assert _factor_stats(text, 5) == factor_stats_per_position(text, 5)
 
 
+def test_factor_stats_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="^factor length must be >= 0$"):
+        _factor_stats("0110", -1)
+
+
 def test_factor_index_reads_gaps_across_position_slices():
     # "a" has 4196 starts; its widest gap (4095 -> 4101) spans the first
     # 4096-start slice edge, as do the starts of "aa" it is split into.  The

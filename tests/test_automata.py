@@ -108,6 +108,10 @@ def test_is_reversible():
     assert not is_reversible(merge2_automaton())
 
 
+def test_automaton_repr():
+    assert repr(merge2_automaton()) == "Automaton(states=2, input=['0', '1'])"
+
+
 def test_reversibility_equals_preimage_existence():
     # bijectivity per letter <=> every (state, letter) has a unique pre-state
     rng = random.Random(7)
@@ -268,6 +272,58 @@ def test_reduce_random_automata_invariants():
         assert is_reversible(rep.final_automaton)
         assert rep.deleted_prefix_len <= rep.theorem_bound
         assert len(rep.steps) <= ns
+
+
+def four_state_automaton(rows):
+    """States q0-q3 from q0; rows[q] gives q's (next, output) on 0, then on 1."""
+    delta = {(f"q{q}", s): (f"q{to}", out)
+             for q, row in enumerate(rows) for s, (to, out) in zip("01", row)}
+    return Automaton(BIN, BIN, ("q0", "q1", "q2", "q3"), "q0", delta)
+
+
+@pytest.mark.parametrize("reg", ["id+c:2", "lin:2:1"])
+def test_reduce_refuses_a_block_letter_the_regulator_window_missed(reg):
+    # the window [3, 5] of 1111111 tm reads 111, so the machine keeps only
+    # 1, and the blocks that split on 1 cuts hold the recurring 0
+    auto = four_state_automaton([((3, "1"), (2, "0")), ((1, "1"), (0, "1")),
+                                 ((3, "1"), (0, "0")), ((0, "1"), (0, "0"))])
+    with pytest.raises(ap.InvariantViolation, match=r"^letter '0' of block '01' is "
+                       r"missing from the regulator window \[3, 5\]$"):
+        reduce_to_reversible(auto, ap.make_sequence("prepend:1111111:tm"),
+                             ap.parse_regulator(reg))
+
+
+def test_reduce_reads_a_dropped_letter_that_does_not_recur():
+    # 2 then Thue-Morse: the machine keeps 0 and 1, splits on 0, and drops
+    # the prefix 20, which only the whole machine can read
+    tern = Alphabet(("0", "1", "2"))
+    tm = thue_morse()
+    seq = ap.FuncSequence(tern, lambda i: tm.at(i - 1) if i else "2", "2 then tm")
+    delta = {(q, "2"): ("q1", "2") for q in ("q0", "q1")}
+    delta.update(merge2_automaton().delta)
+    rep = reduce_to_reversible(Automaton(tern, tern, ("q0", "q1"), "q0", delta),
+                               seq, ap.identity_plus(20))
+    assert (rep.deleted_prefix_len, rep.state_counts) == (2, [1])
+    assert rep.final_automaton.initial == "q0"
+
+
+def test_reduce_refuses_a_prefix_past_the_theorem_bound():
+    auto = four_state_automaton([((3, "1"), (3, "1")), ((0, "1"), (3, "0")),
+                                 ((2, "1"), (0, "1")), ((1, "1"), (2, "0"))])
+    with pytest.raises(ap.InvariantViolation,
+                       match="^deleted prefix 38 exceeds the theorem bound 24$"):
+        reduce_to_reversible(auto, ap.make_sequence("fixture:tm-triple:1"),
+                             ap.identity_plus(2))
+
+
+def test_block_automaton_refuses_a_prefix_that_leaves_the_marker_image():
+    # merge2's marker 0 leads only to q0, but the dropped prefix 1 ends in q1
+    blocks = Alphabet(("b0",))
+    sr = ap.SplitResult("0", blocks, {"b0": word("10")}, 1, None, 2,
+                        periodic(word("1", BIN)))
+    with pytest.raises(ap.InvariantViolation,
+                       match="^post-prefix state escaped the marker image$"):
+        block_automaton(merge2_automaton(), sr)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +513,10 @@ def test_cyclic_automaton_equals_product():
     prod = product(thue_morse(), periodic(word("01", BIN)))
     assert read(out, 0, 999).symbols == read(prod, 0, 999).symbols
     assert is_reversible(cyclic_automaton(word("012", tern), BIN))
+
+
+def test_cyclic_automaton_takes_a_string_period():
+    assert cyclic_automaton("01", BIN).delta == cyclic_automaton(word("01"), BIN).delta
 
 
 def test_cyclic_automaton_single_letter():

@@ -5,6 +5,7 @@ import ast
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,25 @@ def test_gen_thm21(capsys):
 def test_gen_parse_error_exit_2(capsys):
     code, _ = run_cli(capsys, ["gen", "--spec", "suffix:x:tm"])
     assert code == 2
+
+
+def test_module_run_as_main_exits_with_the_status(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["apwords", "gen", "--spec", "tm", "--count", "8"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("apwords.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "01101001\n"
+
+
+def test_out_of_memory_is_a_resource_limit(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_gen", exhausted)
+    assert cli.main(["gen", "--spec", "tm"]) == cli.EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "resource limit: out of memory\n")
 
 
 def test_missing_required_flag_exit_2(capsys):
@@ -595,6 +615,12 @@ def test_every_public_name_resolves():
         exec(f"from apwords import {name}", namespace)
         assert namespace[name] is getattr(apwords, name), name
         assert name in dir(apwords), name
+
+
+def test_submodule_names_resolve_through_the_package():
+    # a fresh process meets this path; here every submodule is loaded already
+    for name in ("words", "automata"):
+        assert apwords.__getattr__(name) is sys.modules[f"apwords.{name}"]
 
 
 def test_star_import_and_unknown_names():

@@ -267,6 +267,18 @@ REFERENCE_CASES = {
     "fixture:tm-triple": (lambda _: (make_sequence("fixture:tm-triple:2"),
                                      _tm_triple_reference(2)),
                           [12, 4108, 8204]),
+    "prepend-of-prepend": (lambda _: (make_sequence("prepend:01:prepend:10:tm"),
+                                      _prepended("0110", _tm_reference)),
+                           [2, 4, 4100, 8196]),
+    "suffix-in-head": (lambda _: (make_sequence("suffix:2:prepend:0110:tm"),
+                                  _shifted(2, _prepended("0110", _tm_reference))),
+                       [2, 4098, 8194]),
+    "suffix-past-head": (lambda _: (make_sequence("suffix:9:prepend:0110:tm"),
+                                    _shifted(9, _prepended("0110", _tm_reference))),
+                         [4091, 8187, 16379]),
+    "prepend-of-suffix": (lambda _: (make_sequence("prepend:01:suffix:5:thm21"),
+                                     _prepended("01", _shifted(5, _pasted_reference((4,))))),
+                          [2] + [e - 3 for e in _pasted_edges((4,)) if e > 5]),
 }
 
 

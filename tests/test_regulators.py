@@ -175,6 +175,10 @@ def test_parse_regulator_descriptors():
             parse_regulator(bad)
 
 
+def test_regulator_repr():
+    assert repr(parse_regulator("id+c:3")) == "Regulator('id+c:3', explicit-formula)"
+
+
 @pytest.mark.parametrize("text, form", [
     ("lin:1", "lin:<a>:<b>"), ("lin:1:2:3", "lin:<a>:<b>"), ("lin:1:x", "lin:<a>:<b>"),
     ("id+c:x", "id+c:<c>"), ("id+c:", "id+c:<c>"), ("id+c:1:2", "id+c:<c>"),

@@ -52,6 +52,11 @@ def test_thm21_prefix():
     assert read(thm21(), 0, 23).text() == "1111" + "10011" * 4
 
 
+def test_a_word_equals_only_words():
+    assert word("01") == ap.Word(Alphabet("012"), "01")
+    assert word("01") != "01" and word("01") != ("0", "1")
+
+
 def test_complement_examples():
     assert complement(word("10011")).text() == "01100"
     assert complement(word("", ap.BINARY)).text() == ""
@@ -91,6 +96,11 @@ def test_tm_blocks():
     assert tm_block(0).text() == "0"
     assert tm_block(2).text() == "0110"
     assert tm_block(4).text() == "0110100110010110"
+
+
+def test_tm_block_refuses_a_negative_level():
+    with pytest.raises(ValueError, match="^level must be >= 0$"):
+        tm_block(-1)
 
 
 def test_tm_block_prefix_chain():
@@ -140,6 +150,22 @@ def test_prepend_reads():
         prepend(word("2", Alphabet(("2",))), thue_morse())
 
 
+@pytest.mark.parametrize("spec, head, shift", [
+    ("prepend:01:prepend:10:tm", "0110", 0),
+    ("suffix:2:prepend:0110:tm", "10", 0),
+    ("suffix:9:prepend:0110:tm", "", 5),
+    ("prepend:01:suffix:5:thm21", "01", 6),
+    ("suffix:7:suffix:3:thm21", "", 11),
+    ("thm21tau:45", "", 1),
+    ("fixture:tm-triple:2", "0110" * 3, 0),
+])
+def test_prepends_and_suffixes_fold_into_one_view_of_a_fixed_point(spec, head, shift):
+    seq = make_sequence(spec)
+    assert type(seq) is ap.words._View and type(seq._base) is ap.words._FixedPoint
+    assert (seq._head, seq._shift) == (tuple(head), shift)
+    assert repr(seq) == f"<_View {spec!r}>"
+
+
 def test_window_read_matches_single_reads():
     s = thm21()
     assert read(s, 10, 30).symbols == tuple(s.at(i) for i in range(10, 31))
@@ -153,7 +179,7 @@ def test_determinism_same_spec():
 
 def test_thm21tau_handles_share_their_levels_per_pattern():
     h1, h2 = make_sequence("thm21tau:45"), thm21_tau((4, 5))
-    assert h1 is not h2 and h1._images is h2._images
+    assert h1 is not h2 and h1._base is h2._base
     assert h1.description == h2.description == "thm21tau:45"
     first = read(h1, 0, 10 ** 4).symbols
     for k in range(40):  # more patterns than are kept
@@ -161,7 +187,7 @@ def test_thm21tau_handles_share_their_levels_per_pattern():
         assert t.description == "thm21tau:" + "".join(str(4 + (k >> j & 1)) for j in range(6))
     assert len(ap.words._PASTED) <= 32
     h3 = thm21_tau((4, 5))
-    assert h3._images is not h1._images and read(h3, 0, 10 ** 4).symbols == first
+    assert h3._base is not h1._base and read(h3, 0, 10 ** 4).symbols == first
 
 
 def test_tau_all_fours_is_base_sequence():
@@ -455,6 +481,11 @@ def test_parse_spec_tree():
 ])
 def test_parse_spec_whole_trees(spec, tree):
     assert parse_spec(spec) == tree
+
+
+def test_build_sequence_refuses_an_unknown_node_kind():
+    with pytest.raises(ValueError, match="^unknown node kind 'nope'$"):
+        ap.words.build_sequence(SpecNode("nope"))
 
 
 def test_parse_spec_error_position():

@@ -3,9 +3,11 @@
 Usage: ``python3 tests/tools/uncovered.py [pytest args]`` from the
 repository root.  It runs the suite (or the given pytest arguments)
 in-process under ``sys.settrace`` and prints ``path:line  statement`` for
-each statement no test reached.  Docstrings and ``nonlocal``, ``global``
-and ``try`` lines run no code of their own and are left out.  Code run only
-in a child process counts as unexecuted.
+each statement no test reached, then their count.  Docstrings and
+``nonlocal``, ``global`` and ``try`` lines run no code of their own and are
+left out.  Code run only in a child process counts as unexecuted.  The exit
+status is pytest's when the run fails or is interrupted (the list would
+only reflect the failure), else 1 when a statement is listed, else 0.
 """
 
 import ast
@@ -51,17 +53,22 @@ def main(args):
     threading.settrace(call)
     sys.settrace(call)
     try:
-        pytest.main(["-q", "-p", "no:cacheprovider", *(args or [str(ROOT / "tests")])])
+        status = pytest.main(["-q", "-p", "no:cacheprovider",
+                              *(args or [str(ROOT / "tests")])])
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    listed = 0
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text().splitlines()
         for lineno, own in sorted(statements(ast.parse("\n".join(text))),
                                   key=lambda item: item[0]):
             if not any((str(path), n) in hit for n in own):
                 print(f"{path.relative_to(ROOT)}:{lineno}  {text[lineno - 1].strip()}")
+                listed += 1
+    print(f"{listed} statements unexecuted")
+    return int(status) or int(listed > 0)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
