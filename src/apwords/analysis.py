@@ -388,11 +388,12 @@ def _sap_faults(level, cut, horizon, n_max):
     horizon.  Only a factor with a start at or past cut is judged, from
     start, the first such start.  It fails "recur" when its last start lies
     before the recur cut (horizon - cut)/2 of the suffix, and "gap" when
-    start - cut or a start-gap exceeds the gap cut (horizon - cut)/4.  The factor's widest start-gap stands in for the
-    widest one past the cut, which it bounds; the gaps past the cut are
-    scanned only when that gap opens before the cut and the factor fails
-    with it.  Each failure is (n, kind, start, last, maxgap, gap_prev), the
-    gap and the start opening it taken past the cut when scanned there.
+    start - cut or a start-gap exceeds the gap cut (horizon - cut)/4.  The
+    factor's widest start-gap stands in for the widest one past the cut,
+    which it bounds; the gaps past the cut are scanned only when that gap
+    opens before the cut and the factor fails with it.  Each failure is
+    (n, kind, start, last, maxgap, gap_prev), the gap and the start opening
+    it taken past the cut when scanned there.
     """
     recur_cut = (horizon - cut) * SAP_RECUR_FRACTION
     gap_cut = (horizon - cut) * SAP_GAP_FRACTION

@@ -269,19 +269,17 @@ def split(seq, marker, reg):
 
     pull = _upstream(seq, offset)
     tail = ""
-    error = None
 
     def cut(need):
         # a block spans at least one letter: a call asks for the blocks
-        # still needed, and gets the blocks its letters complete
-        nonlocal tail, error
-        if error is not None:
-            raise error
+        # still needed, and gets the blocks its letters complete; an
+        # unfinished block of r(1) letters is raised by the next call
+        nonlocal tail
+        if len(tail) >= r1:
+            raise InvariantViolation(f"block of length over {len(tail)} "
+                                     f"exceeds the regulator window {r1}")
         parts = (tail + alphabet.encode(pull(need))).split(code)
         tail = parts.pop()
-        if len(tail) >= r1:
-            error = InvariantViolation(f"block of length over {len(tail)} "
-                                       f"exceeds the regulator window {r1}")
         return parts
 
     blocks = []
@@ -314,16 +312,17 @@ def split(seq, marker, reg):
 
     def fill(need):
         # names the scan's blocks, then those the cutter completes; a block
-        # first seen after the scan is the cutter's error at the next fill
-        nonlocal blocks, error
-        codes, blocks = blocks or cut(need), None
+        # first seen after the scan is kept unnamed, with the blocks after
+        # it, and the next fill, which it leads, raises at it
+        nonlocal blocks
+        codes, blocks = blocks or cut(need), []
         out = list(map(seen.get, codes))
         if None in out:
             k = out.index(None)
-            block = Word(alphabet, alphabet.decode(codes[k] + code))
-            error = InvariantViolation(
-                f"block {block.text()!r} first seen after the closure scan")
-            del out[k:]
+            if k == 0:
+                block = Word(alphabet, alphabet.decode(codes[0] + code)).text()
+                raise InvariantViolation(f"block {block!r} first seen after the closure scan")
+            out, blocks = out[:k], codes[k:]
         return out
 
     split_sequence = StreamSequence._of_fill(

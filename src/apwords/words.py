@@ -223,18 +223,19 @@ class SequenceHandle:
     """A lazily evaluable infinite word: a pure function of index.
 
     A handle supplies one deterministic range read, ``_read_symbols(i, j)``,
-    which returns letters i..j in one call as a tuple; composite handles
-    serve it from their children's range reads.  Its letters must be in
-    the alphabet.  This module's handles keep that unchecked: FuncSequence
-    and the StreamSequence constructor check the letters of user code, and
-    every other handle takes its letters from a child, a machine, a word or
-    a substitution.  ``read(i, j)`` wraps them in a Word, checked for a
-    handle class defined elsewhere, and ``at(i)`` is the one-letter
-    range read ``_read_symbols(i, i)``; both reject a negative index.  A
-    handle may fill ahead of a read (memoize a chunk, drive a machine
-    further) only where that cannot raise: a failure or the end of a
-    finite word surfaces only when a read reaches its position.  Handles
-    are immutable after construction and safe for concurrent reads.
+    which returns letters i..j in one call as a tuple.  Its letters must be
+    in the alphabet.  This module's handles keep that unchecked:
+    FuncSequence and the StreamSequence constructor check the letters of
+    user code, and every other handle takes its letters from a child, a
+    machine, a word or a substitution.  ``read(i, j)`` is the one caller of
+    the range read: it rejects a negative index and wraps the letters in a
+    Word, checked for a handle class defined elsewhere.  Composite handles
+    read their children through ``read``, so that check holds on every
+    path, and ``at(i)`` is ``read(i, i)[0]``.  A handle may fill ahead of
+    a read (memoize a chunk, drive a machine further) only where that
+    cannot raise: a failure or the end of a finite word surfaces only when
+    a read reaches its position.  Handles are immutable after construction
+    and safe for concurrent reads.
     """
 
     def __init__(self, alphabet, description=""):
@@ -242,9 +243,7 @@ class SequenceHandle:
         self.description = description
 
     def at(self, i):
-        if i < 0:
-            raise ValueError(f"bad read range [{i}, {i}]")
-        return self._read_symbols(i, i)[0]
+        return self.read(i, i)[0]
 
     def read(self, i, j):
         if i < 0 or i > j:
@@ -282,7 +281,7 @@ class _View(SequenceHandle):
         head, shift = self._head, self._shift - len(self._head)
         if j < len(head):
             return head[i:j + 1]
-        return head[i:] + self._base._read_symbols(max(i, len(head)) + shift, j + shift)
+        return head[i:] + self._base.read(max(i, len(head)) + shift, j + shift).symbols
 
 
 class FuncSequence(SequenceHandle):
@@ -401,7 +400,7 @@ class _Product(SequenceHandle):
         self._b = seq_b
 
     def _read_symbols(self, i, j):
-        return tuple(zip(self._a._read_symbols(i, j), self._b._read_symbols(i, j)))
+        return tuple(zip(self._a.read(i, j).symbols, self._b.read(i, j).symbols))
 
 
 def product(seq_a, seq_b):
@@ -416,7 +415,7 @@ class _Projection(SequenceHandle):
         self._k = k
 
     def _read_symbols(self, i, j):
-        return tuple(map(itemgetter(self._k), self._seq._read_symbols(i, j)))
+        return tuple(map(itemgetter(self._k), self._seq.read(i, j).symbols))
 
 
 def projections(seq):

@@ -709,14 +709,22 @@ def test_transducer_run_stall_and_end_of_input():
 
 def test_split_raises_only_at_the_offending_block():
     # blocks "01" up to position 999, then "1" blocks: the closure scan sees
-    # only "01", and block 499 is the first "1"
-    seq = ap.FuncSequence(BIN, lambda i: "01"[i % 2] if i < 1000 else "1", "late")
-    sr = split(seq, "1", ap.identity_plus(3))
-    assert sr.offset == 2
-    assert set(read(sr.split_sequence, 0, 498).symbols) == {"b0"}
-    for _ in range(2):
-        with pytest.raises(ap.InvariantViolation, match="first seen after"):
-            sr.split_sequence.at(499)
+    # only "01", and block 499 is the first "1"; or then "00000001" blocks,
+    # which are longer than r(1) = 4 and so are never named by the scan
+    for late, match in [
+        (lambda i: "1", "first seen after"),
+        (lambda i: "1" if i % 12 == 11 else "0",
+         "^block '00000001' first seen after the closure scan$"),
+    ]:
+        def fn(i, late=late):
+            return "01"[i % 2] if i < 1000 else late(i)
+
+        sr = split(ap.FuncSequence(BIN, fn, "late"), "1", ap.identity_plus(3))
+        assert sr.offset == 2
+        assert set(read(sr.split_sequence, 0, 498).symbols) == {"b0"}
+        for _ in range(2):
+            with pytest.raises(ap.InvariantViolation, match=match):
+                sr.split_sequence.at(499)
 
 
 def test_split_raises_where_the_marker_stops_recurring():

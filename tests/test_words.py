@@ -1,5 +1,6 @@
 """Sequence constructions, schemes, and the spec mini-language."""
 
+import ast
 import sys
 import tracemalloc
 from pathlib import Path
@@ -566,15 +567,55 @@ def test_stream_sequence_checks_each_letter_of_its_iterator():
     assert read(seq, 0, 1).text() == "01"
 
 
-def test_read_checks_the_letters_of_a_handle_class_defined_elsewhere():
+@pytest.mark.parametrize("path", ["read", "at", "suffix", "prepend", "product",
+                                  "first-projection", "second-projection"])
+def test_read_checks_the_letters_of_a_handle_class_defined_elsewhere(path):
     class Digits(ap.SequenceHandle):
         def _read_symbols(self, i, j):
             return tuple(str(k % 3) for k in range(i, j + 1))
 
-    seq = Digits(ap.BINARY, "digits")
-    assert read(seq, 0, 1).text() == "01"
-    with pytest.raises(ap.AlphabetError, match="^symbol '2' not in alphabet$"):
-        read(seq, 0, 2)
+    digits = Digits(ap.BINARY, "digits")
+    pairs = product(digits, thue_morse())
+    # each path's handle and its letters before the first '2' of digits
+    seq, before = {
+        "read": (digits, ("0", "1")),
+        "at": (digits, ("0", "1")),
+        "suffix": (digits.suffix(1), ("1",)),
+        "prepend": (prepend("1", digits), ("1", "0", "1")),
+        "product": (pairs, (("0", "0"), ("1", "1"))),
+        "first-projection": (projections(pairs)[0], ("0", "1")),
+        "second-projection": (projections(pairs)[1], ("0", "1")),
+    }[path]
+    if path == "at":
+        def letters(j):
+            return tuple(seq.at(k) for k in range(j + 1))
+    else:
+        def letters(j):
+            return read(seq, 0, j).symbols
+    assert letters(len(before) - 1) == before
+    for _ in range(2):
+        with pytest.raises(ap.AlphabetError, match="^symbol '2' not in alphabet$"):
+            letters(len(before))
+    assert letters(len(before) - 1) == before
+
+
+def test_read_is_the_only_caller_of_the_range_read():
+    # a composite that read a child's _read_symbols directly would skip the
+    # check read makes of a handle class defined elsewhere
+    src = Path(ap.__file__).parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node)
+                   for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   and cls.name == "SequenceHandle"
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "read"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name == "_read_symbols":
+                callers.append((path.name, node.lineno, id(node) in allowed))
+    assert callers and [(name, line) for name, line, ok in callers if not ok] == []
 
 
 def test_alphabet_invariants():
