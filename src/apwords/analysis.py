@@ -162,21 +162,21 @@ class FactorIndex:
     occurrence, each with its stats [first, last, maxgap, gap_prev]: first
     and last start, the widest start-gap and the start that opens the first
     widest gap (maxgap 0 and gap_prev = first for a factor that occurs
-    once).  Level n + 1 is made from level n.  A factor u can have two right
-    extensions only if its suffix u[1:] had two at the level before
-    (Cassaigne, Recurrence in infinite words, STACS 2001), so only those
-    factors are split by next letter; every other factor keeps its stats,
-    except the one that starts at len(text) - n, which loses that start.
-    One set of strings, the length-(n - 1) factors that had two right
-    extensions, serves both kinds of level below.
+    once).  One loop makes every level n + 1 from level n.  A factor u can
+    have two right extensions only if its suffix u[1:] had two at the level
+    before (Cassaigne, Recurrence in infinite words, STACS 2001), so the
+    loop splits by next letter only the factors with two starts whose
+    suffix branched; every other factor keeps its stats, except the one
+    that starts at len(text) - n, which loses that start.
 
-    The k distinct letters of the text are numbered 0..k-1.  While a
-    level's F factors times k fit a byte (F * k <= 256), the level is one
-    bytes object of ids, ids[i] = the first-occurrence number of the factor
-    starting at i.  The next level is ids[i] * k + the next letter for all
-    i in one big-integer multiply-add (no byte can carry), renumbered by one
-    bytes.translate; a child of a factor that can branch gets its stats
-    from one bytes.split.  From the first level where F * k > 256, each
+    A level's kind supplies only how to split a factor and how to drop its
+    start at len(text) - n.  The text's k distinct letters are numbered
+    0..k-1.  While a level's F factors times k fit a byte (F * k <= 256),
+    the level is one bytes object of ids, ids[i] = the first-occurrence
+    number of the factor starting at i: the next level is ids[i] * k + the
+    next letter for all i in one big-integer multiply-add (no byte can
+    carry), renumbered by one bytes.translate, and both jobs are a
+    bytes.split per child.  From the first level where F * k > 256, each
     factor holds its ascending starts (an array('i')) instead.
 
     The index moves forward only; asking for a smaller n than the current
@@ -198,53 +198,37 @@ class FactorIndex:
 
     def _advance(self):
         n, ids, k, codes = self._n, self._ids, self._k, self._codes
+        end = len(codes) - n  # a length-n factor starting here has no next letter
         if ids is not None and len(self._level) * k > 256:  # hand off to arrays
             self._level = [[*s, _starts(ids, v)] for v, s in enumerate(self._level)]
-            self._ids = None
-        if self._ids is None:
-            return self._advance_starts()
-        size = len(ids) - 1  # the factor starting at size has no next letter
-        raw = (int.from_bytes(ids[:-1], "big") * k + int.from_bytes(
-            codes[n:].encode("latin-1"), "big")).to_bytes(size, "big")
-        kids, branched = [], set()
-        for v, s in enumerate(self._level):
-            first, last, maxgap, _ = s
+            ids = None
+        if ids is None:  # split a factor; cut its start at end
+            nxt = codes[n:]
+            split = lambda s: map(_entry, _split(s[4], len(s[4]) - (s[1] == end), nxt))
+            cut = lambda s: _entry(s[4][:-1])
+        else:
+            raw = (int.from_bytes(ids[:-1], "big") * k + int.from_bytes(
+                codes[n:].encode("latin-1"), "big")).to_bytes(end, "big")
+            split = lambda s: filter(None, map(_byte_stats, repeat(raw, k),
+                                               range(k * ids[s[0]], k * ids[s[0]] + k)))
+            cut = lambda s: _byte_stats(raw, raw[s[0]])
+        level, branched = [], set()
+        for s in self._level:
+            first, last, maxgap = s[0], s[1], s[2]
             if maxgap and codes[first + 1:first + n] in self._branched:
-                split = [*filter(None, map(_byte_stats, repeat(raw, k),
-                                           range(v * k, v * k + k)))]
-                if len(split) > 1:
+                kids = [*split(s)]
+                if len(kids) > 1:
                     branched.add(codes[first:first + n])
-                kids.extend(split)
-            elif last < size:
-                kids.append(s)
-            elif first < size:
-                kids.append(_byte_stats(raw, raw[first]))
-        kids.sort(key=itemgetter(0))
-        table = bytearray(256)
-        for j, s in enumerate(kids):
-            table[raw[s[0]]] = j
-        self._ids, self._level, self._branched = raw.translate(table), kids, branched
-        self._n = n + 1
-
-    def _advance_starts(self):
-        n, codes, branched = self._n, self._codes, self._branched
-        end = len(codes) - n  # a length-n factor starting here has no next letter
-        nxt = codes[n:]
-        level, self._branched = [], set()
-        for entry in self._level:
-            first, last, _, _, pos = entry
-            stop = len(pos) - (last == end)
-            if stop > 1 and codes[first + 1:first + n] in branched:
-                groups = _split(pos, stop, nxt)
-                if len(groups) > 1:
-                    self._branched.add(codes[first:first + n])
-                level.extend(map(_entry, groups))
-            elif stop == len(pos):
-                level.append(entry)
-            elif stop:
-                level.append(_entry(pos[:stop]))
+                level.extend(kids)
+            elif last < end:
+                level.append(s)
+            elif first < end:
+                level.append(cut(s))
         level.sort(key=itemgetter(0))
-        self._level, self._n = level, n + 1
+        if ids is not None:  # renumber the children in order of first occurrence
+            ids = raw.translate(bytes.maketrans(bytes(raw[s[0]] for s in level),
+                                                bytes(range(len(level)))))
+        self._ids, self._level, self._branched, self._n = ids, level, branched, n + 1
 
     def _at(self, n):
         """(ids, entries) of level n: ids None once entries hold their starts
@@ -281,6 +265,9 @@ class EmpiricalRegulator:
     B(n) = (n-1) + the maximal start-gap of any length-n factor of the
     prefix, counting the gap from position 0 to the first occurrence
     (single-occurrence factors contribute only that); clamped to >= n.
+    A window from 0 holds a factor first seen at f only with f + n letters,
+    so where a first occurrence sets B(n), check_regulator refutes B (thm21
+    at 5^7: B(1) = 5, "0" is absent from [0, 5)); B is then not tight.
     Values are computed on demand from one FactorIndex of the prefix.  The
     index only moves forward, so the worst gap of every length it passes is
     kept: asking for B(82) and then B(76) refines the index once.  ``table``
@@ -434,14 +421,17 @@ def check_sap(seq, horizon, n_max):
     while the scan continues to the horizon, is witnessed non-recurrent; a
     factor whose first start or a start-gap exceeds the gap cut horizon/4
     has no witnessed bound (the rule of _sap_faults, at cut 0).  The verdict
-    lists the first 256 failures and counts them all.
+    lists the first 256 failures and counts them all.  It is inconclusive
+    when no factor of length n_max starts past the recur cut or horizon < 4.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    recur_cut = horizon * SAP_RECUR_FRACTION
+    recur_cut, gap_cut = horizon * SAP_RECUR_FRACTION, horizon * SAP_GAP_FRACTION
     if horizon - n_max < recur_cut:
         return Verdict("inconclusive", horizon, note=f"no factor of length {n_max} "
                        f"can start past the recur cut {recur_cut:g}")
+    if gap_cut < 1:  # every factor that occurs twice would fail
+        return Verdict("inconclusive", horizon, note=f"gap cut {gap_cut:g} is below one letter")
     text = _seq_text(seq, 0, horizon - 1)
     failures = []
     count = 0

@@ -196,6 +196,15 @@ def letter_images(auto):
     return images
 
 
+def _r1(reg):
+    """r(1), refused unread when 2r(1) letters, half the least closure scan, exceed the cap."""
+    r1 = reg(1)
+    if 2 * r1 > DEFAULT_SCAN_CAP:
+        raise ResourceLimitError(f"regulator windows of {2 * r1} letters exceed "
+                                 f"the closure-scan cap {DEFAULT_SCAN_CAP}")
+    return r1
+
+
 def infinite_letters(seq, reg):
     """The letters occurring infinitely often, read off the window
     [r(1), 2r(1)-1]: by the regulator's two conditions this window contains
@@ -253,7 +262,7 @@ def split(seq, marker, reg):
     witness every recurrent block (two split-regulator windows); a block
     first seen after closure is an invariant violation at that block.
     """
-    r1 = reg(1)
+    r1 = _r1(reg)
     # condition (1) places the first marker within the first window, and
     # the second window holds exactly the infinitely-occurring letters
     head = seq.read(0, 2 * r1 - 1).symbols
@@ -428,6 +437,7 @@ def reduce_to_reversible(auto, seq, reg):
     deleted = 0
     steps = []
     while True:
+        r1 = _r1(cur_reg)
         letters = infinite_letters(cur_seq, cur_reg)
         restricted = cur_auto.restricted(letters)
         images = letter_images(restricted)
@@ -446,7 +456,6 @@ def reduce_to_reversible(auto, seq, reg):
         for block in sr.decode.values():
             missing = [s for s in block if s not in letters]
             if missing:
-                r1 = cur_reg(1)
                 raise InvariantViolation(
                     f"letter {missing[0]!r} of block {block.text()!r} is missing "
                     f"from the regulator window [{r1}, {2 * r1 - 1}]")

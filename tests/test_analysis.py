@@ -428,16 +428,21 @@ def test_check_regulator_matches_window_by_window_oracle():
 
 def test_check_sap_matches_window_by_window_oracle():
     rng = random.Random(6160)
-    statuses = set()
+    cases = []
     for _ in range(400):
         seq = make_sequence(_windowed_word_spec(rng))
         horizon = rng.randint(8, 160)
-        n_max = rng.randint(1, min(6, horizon))
+        cases.append((seq, horizon, rng.randint(1, min(6, horizon))))
+    cases += [(make_sequence(spec), horizon, 1) for horizon in (2, 3)
+              for spec in ("periodic:0", "periodic:01", "prepend:0:periodic:012")]
+    statuses = set()
+    for seq, horizon, n_max in cases:
         text = read(seq, 0, horizon - 1).text()
         v = check_sap(seq, horizon, n_max)
         statuses.add(v.status)
-        if horizon - n_max < horizon * 0.5:
-            # every factor of length n_max would fail the recur cut vacuously
+        if horizon - n_max < horizon * 0.5 or horizon * 0.25 < 1:
+            # every factor of length n_max would fail the recur cut vacuously,
+            # or every factor that occurs twice the gap cut
             assert v.status == "inconclusive" and not v.failures, (seq.description, horizon)
             continue
         want = sap_failures_by_windows(text, n_max)
@@ -446,6 +451,7 @@ def test_check_sap_matches_window_by_window_oracle():
         assert [(n, ce.factor.text()) for n, ce in v.failures] == want
         assert v.failure_count == len(want)
         for _, ce in v.failures:
+            assert ce.window_len > 0, (seq.description, horizon, ce)
             assert _absent_from_window(text, ce), (seq.description, horizon, ce)
     assert statuses == {"pass", "fail", "inconclusive"}
 

@@ -965,6 +965,17 @@ def test_split_and_reduce_read_the_scan_cap_when_called(monkeypatch):
         reduce_to_reversible(merge2_automaton(), thue_morse(), ap.identity_plus(3))
 
 
+def test_split_and_reduce_refuse_an_oversized_window_before_reading_it():
+    # 2r(1) letters past the scan cap cannot fit the closure scan either
+    reg = ap.identity_plus(2 ** 40)
+    with deadline(10):
+        with pytest.raises(ap.ResourceLimitError,
+                           match=f"^regulator windows of {2 ** 41 + 2} letters exceed"):
+            split(thue_morse(), "0", reg)
+        with pytest.raises(ap.ResourceLimitError, match="closure-scan cap 16777216$"):
+            reduce_to_reversible(merge2_automaton(), thue_morse(), reg)
+
+
 # ---------------------------------------------------------------------------
 # Reference drivers: every machine stream runs the one linked-row loop, so it
 # is checked here against plain per-letter loops over delta

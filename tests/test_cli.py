@@ -609,6 +609,13 @@ def test_every_module_imports_only_the_standard_library(tmp_path):
     assert foreign == []
 
 
+def test_no_source_line_is_over_99_characters():
+    package = Path(apwords.__file__).parent
+    long = [(p.name, i) for p in sorted(package.glob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), 1) if len(line) > 99]
+    assert long == []
+
+
 def test_every_public_name_resolves():
     for name in PUBLIC_NAMES:
         namespace = {}
