@@ -196,21 +196,25 @@ def letter_images(auto):
     return images
 
 
-def _r1(reg):
-    """r(1), refused unread when 2r(1) letters, half the least closure scan, exceed the cap."""
+def _windows(seq, reg):
+    """r(1) and the letters [0, 2r(1) - 1], the regulator's two windows:
+    the first holds the first occurrence of every recurrent letter, the
+    second exactly the recurrent letters.  2r(1) letters, half the least
+    closure scan, are refused unread when they exceed the cap."""
     r1 = reg(1)
     if 2 * r1 > DEFAULT_SCAN_CAP:
         raise ResourceLimitError(f"regulator windows of {2 * r1} letters exceed "
                                  f"the closure-scan cap {DEFAULT_SCAN_CAP}")
-    return r1
+    return r1, seq.read(0, 2 * r1 - 1).symbols
 
 
 def infinite_letters(seq, reg):
-    """The letters occurring infinitely often, read off the window
-    [r(1), 2r(1)-1]: by the regulator's two conditions this window contains
-    every recurrent letter and no finitely-occurring one."""
-    r1 = reg(1)
-    return set(seq.read(r1, 2 * r1 - 1).symbols)
+    """The letters occurring infinitely often: those of the second window
+    [r(1), 2r(1)-1] of the one read _windows makes of [0, 2r(1)-1].  By the
+    regulator's two conditions it holds every recurrent letter and no
+    finitely-occurring one.  An oversized r(1) is refused before any read."""
+    r1, head = _windows(seq, reg)
+    return set(head[r1:])
 
 
 def cyclic_automaton(w, input_alphabet):
@@ -262,10 +266,9 @@ def split(seq, marker, reg):
     witness every recurrent block (two split-regulator windows); a block
     first seen after closure is an invariant violation at that block.
     """
-    r1 = _r1(reg)
     # condition (1) places the first marker within the first window, and
     # the second window holds exactly the infinitely-occurring letters
-    head = seq.read(0, 2 * r1 - 1).symbols
+    r1, head = _windows(seq, reg)
     if marker not in head[r1:]:
         raise ValueError(f"marker {marker!r} does not recur (not in the "
                          "infinitely-occurring letters)")
@@ -414,71 +417,51 @@ def reduce_to_reversible(auto, seq, reg):
     is reversible, certifying the deleted prefix length against the
     iterated-composition bound.
 
-    At each step the machine is first restricted to the letters recurring in
-    the current sequence, read off the regulator window (infinite_letters);
-    among its non-injective letters the one with the smallest state image is
-    chosen (ties by alphabet order).  A split block holding a letter outside
-    the window is an invariant violation; the dropped prefix may hold any
-    letter, and the block machine reads it with the whole machine.  Two
-    invariants need no check.
+    Each step reads the regulator's two windows once (_windows): the
+    letters of the second are the ones recurring in the current sequence,
+    and the dropped prefix is read off the first.  Among the recurring
+    letters that the machine does not read injectively, the one with the
+    smallest state image is chosen (ties by alphabet order).  A split block
+    holding a letter outside the window is an invariant violation; the
+    dropped prefix may hold any letter, and the block machine reads it with
+    the whole machine.  Two invariants need no check.
     The next machine's states are the chosen letter's image, which is
     smaller than the state set, so the state count falls at every step.
-    And the loop ends only when every kept letter permutes the states,
-    which is what is_reversible checks of the final machine.
+    And the loop ends only when every recurring letter permutes the
+    states.  Only then is the machine restricted, once, to those letters:
+    the final machine, which is_reversible accepts.
     """
     _check_input(auto, seq)
     bound = reg_iterated_bound(reg, len(auto.states))
 
-    cur_auto = auto
-    cur_seq = seq
-    cur_reg = reg
     # current-level letter -> how many original letters it spans
     span = {s: 1 for s in seq.alphabet}
     deleted = 0
     steps = []
     while True:
-        r1 = _r1(cur_reg)
-        letters = infinite_letters(cur_seq, cur_reg)
-        restricted = cur_auto.restricted(letters)
-        images = letter_images(restricted)
-        candidates = [
-            s for s in restricted.input_alphabet
-            if len(images[s]) < len(restricted.states)
-        ]
-        if not candidates:  # every letter permutes the states: reversible
-            final = restricted
+        r1, head = _windows(seq, reg)
+        letters = set(head[r1:])
+        images = letter_images(auto)
+        candidates = [s for s in auto.input_alphabet
+                      if s in letters and len(images[s]) < len(auto.states)]
+        if not candidates:  # every recurring letter permutes the states
             break
-        letter = min(
-            candidates,
-            key=lambda s: (len(images[s]), restricted.input_alphabet.index(s)),
-        )
-        sr = split(cur_seq, letter, cur_reg)
+        letter = min(candidates, key=lambda s: (len(images[s]), auto.input_alphabet.index(s)))
+        sr = split(seq, letter, reg)
         for block in sr.decode.values():
             missing = [s for s in block if s not in letters]
             if missing:
                 raise InvariantViolation(
                     f"letter {missing[0]!r} of block {block.text()!r} is missing "
                     f"from the regulator window [{r1}, {2 * r1 - 1}]")
-        dropped = cur_seq.read(0, sr.offset - 1).symbols
-        step_deleted = sum(span[s] for s in dropped)
+        step_deleted = sum(span[s] for s in head[:sr.offset])
         deleted += step_deleted
-        nxt_auto = block_automaton(cur_auto, sr)
-        steps.append(
-            ReductionStep(
-                letter=letter,
-                image=images[letter],
-                split_result=sr,
-                automaton=nxt_auto,
-                deleted_letters=step_deleted,
-            )
-        )
-        span = {
-            b: sum(span[s] for s in sr.decode[b].symbols)
-            for b in sr.block_alphabet
-        }
-        cur_auto = nxt_auto
-        cur_seq = sr.split_sequence
-        cur_reg = reg_split(cur_reg, sr.max_block_len)
+        auto = block_automaton(auto, sr)
+        steps.append(ReductionStep(letter=letter, image=images[letter], split_result=sr,
+                                   automaton=auto, deleted_letters=step_deleted))
+        span = {b: sum(span[s] for s in sr.decode[b].symbols) for b in sr.block_alphabet}
+        seq = sr.split_sequence
+        reg = reg_split(reg, sr.max_block_len)
 
     if deleted > bound:
         raise InvariantViolation(
@@ -486,7 +469,7 @@ def reduce_to_reversible(auto, seq, reg):
         )
     return ReductionReport(
         steps=steps,
-        final_automaton=final,
+        final_automaton=auto.restricted(letters),
         deleted_prefix_len=deleted,
         theorem_bound=bound,
     )

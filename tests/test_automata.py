@@ -307,6 +307,40 @@ def test_reduce_reads_a_dropped_letter_that_does_not_recur():
     assert rep.final_automaton.initial == "q0"
 
 
+def test_reduce_restricts_the_final_machine_to_the_recurring_letters():
+    # x occurs once and sends both states to p; left in the machine it would
+    # be chosen as the marker, and left in the final machine it is not
+    # reversible, while 0 and 1 permute the states
+    xbin = Alphabet(("x", "0", "1"))
+    seq = prepend("x", ap.FuncSequence(xbin, thue_morse().at))
+    delta = {(q, "0"): (q, "0") for q in "pq"}
+    delta.update({("p", "1"): ("q", "1"), ("q", "1"): ("p", "1")})
+    delta.update({(q, "x"): ("p", "x") for q in "pq"})
+    auto = Automaton(xbin, xbin, ("p", "q"), "p", delta)
+    rep = reduce_to_reversible(auto, seq, ap.empirical_regulator(seq, 2 ** 12).as_regulator())
+    assert rep.steps == []
+    assert rep.final_automaton.input_alphabet.symbols == ("0", "1")
+    assert is_reversible(rep.final_automaton)
+
+
+@pytest.mark.xfail(strict=True, raises=ap.InvariantViolation,
+                   reason="the split cuts after the first marker, so the transient x "
+                          "lands in a block that the window [r(1), 2r(1) - 1] misses")
+def test_reduce_accepts_a_true_regulator_over_a_transient_letter():
+    # ax then (ab)^w: lin:2:3 is a true regulator, and cutting after the a
+    # at 2 would delete 3 letters, within the bound 18; the reduction cuts
+    # after the a at 0 and meets the block xa
+    abx = Alphabet(("a", "b", "x"))
+    seq = prepend("ax", periodic(word("ab", abx)))
+    reg = ap.parse_regulator("lin:2:3")
+    assert ap.check_regulator(seq, reg, 4096, 10).status == "pass"
+    delta = {(q, "a"): ("0", "a") for q in "01"}
+    delta.update({("0", "b"): ("1", "b"), ("1", "b"): ("0", "b")})
+    delta.update({(q, "x"): (q, "x") for q in "01"})
+    rep = reduce_to_reversible(Automaton(abx, abx, ("0", "1"), "0", delta), seq, reg)
+    assert rep.deleted_prefix_len <= rep.theorem_bound
+
+
 def test_reduce_refuses_a_prefix_past_the_theorem_bound():
     auto = four_state_automaton([((3, "1"), (3, "1")), ((0, "1"), (3, "0")),
                                  ((2, "1"), (0, "1")), ((1, "1"), (2, "0"))])
@@ -974,6 +1008,9 @@ def test_split_and_reduce_refuse_an_oversized_window_before_reading_it():
             split(thue_morse(), "0", reg)
         with pytest.raises(ap.ResourceLimitError, match="closure-scan cap 16777216$"):
             reduce_to_reversible(merge2_automaton(), thue_morse(), reg)
+        with pytest.raises(ap.ResourceLimitError,
+                           match=f"^regulator windows of {2 ** 41 + 2} letters exceed"):
+            infinite_letters(thue_morse(), reg)
 
 
 # ---------------------------------------------------------------------------

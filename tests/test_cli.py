@@ -616,6 +616,15 @@ def test_no_source_line_is_over_99_characters():
     assert long == []
 
 
+def test_every_module_parses_at_the_declared_python_floor():
+    package = Path(apwords.__file__).parent
+    floor = re.search(r'requires-python = ">=3\.(\d+)"',
+                      (package.parents[1] / "pyproject.toml").read_text())
+    assert floor is not None
+    for p in sorted(package.glob("*.py")):
+        ast.parse(p.read_text(), p.name, feature_version=(3, int(floor[1])))
+
+
 def test_every_public_name_resolves():
     for name in PUBLIC_NAMES:
         namespace = {}
