@@ -197,24 +197,29 @@ def letter_images(auto):
 
 
 def _windows(seq, reg):
-    """r(1) and the letters [0, 2r(1) - 1], the regulator's two windows:
-    the first holds the first occurrence of every recurrent letter, the
-    second exactly the recurrent letters.  2r(1) letters, half the least
-    closure scan, are refused unread when they exceed the cap."""
+    """The one read of the regulator's two windows, the letters
+    [0, 2r(1) - 1], and what callers take from it: (r(1), the letters, the
+    recurring letters, start).  By the regulator's conditions the second
+    window holds exactly the recurring letters and the first every letter
+    that does not recur; start is the index past the last of those (0 if
+    none).  2r(1) letters, half the least closure scan, are refused unread
+    when they exceed the cap."""
     r1 = reg(1)
     if 2 * r1 > DEFAULT_SCAN_CAP:
         raise ResourceLimitError(f"regulator windows of {2 * r1} letters exceed "
                                  f"the closure-scan cap {DEFAULT_SCAN_CAP}")
-    return r1, seq.read(0, 2 * r1 - 1).symbols
+    head = seq.read(0, 2 * r1 - 1).symbols
+    letters = set(head[r1:])
+    start = max((i + 1 for i in range(r1) if head[i] not in letters), default=0)
+    return r1, head, letters, start
 
 
 def infinite_letters(seq, reg):
-    """The letters occurring infinitely often: those of the second window
-    [r(1), 2r(1)-1] of the one read _windows makes of [0, 2r(1)-1].  By the
-    regulator's two conditions it holds every recurrent letter and no
-    finitely-occurring one.  An oversized r(1) is refused before any read."""
-    r1, head = _windows(seq, reg)
-    return set(head[r1:])
+    """The letters occurring infinitely often: the recurring letters of
+    the one read _windows makes of [0, 2r(1)-1].  By the regulator's two
+    conditions they are every recurrent letter and no finitely-occurring
+    one.  An oversized r(1) is refused before any read."""
+    return _windows(seq, reg)[2]
 
 
 def cyclic_automaton(w, input_alphabet):
@@ -242,39 +247,46 @@ def cyclic_automaton(w, input_alphabet):
 
 class SplitResult(_Record, frozen=False):
     """decode: block symbol -> Word over the original alphabet; offset: the
-    first position after the first marker occurrence; split_sequence: the
-    SequenceHandle over block_alphabet; original: the handle that was split."""
+    first position after the marker the cut follows; split_sequence: the
+    SequenceHandle over block_alphabet; prefix: the dropped letters
+    [0, offset - 1], a Word."""
 
     __slots__ = ("marker", "block_alphabet", "decode", "offset",
-                 "split_sequence", "max_block_len", "original")
+                 "split_sequence", "max_block_len", "prefix")
 
     def __init__(self, marker, block_alphabet, decode, offset, split_sequence,
-                 max_block_len, original):
+                 max_block_len, prefix):
         self._set(marker, block_alphabet, decode, offset, split_sequence,
-                  max_block_len, original)
+                  max_block_len, prefix)
 
 
 def split(seq, marker, reg):
     """Cut a sequence into blocks ending at each occurrence of the marker,
     drop the first (partial) block, and recode blocks over a fresh alphabet.
 
-    One cutter reads seq from the offset once; the probe, the closure scan
-    and the split sequence's fills take its blocks in order.  The marker
-    recurs, so it lies in every window of r(1) letters: a longer block, or
-    an unfinished one of r(1) letters, is an invariant violation where it
-    is met.  The block alphabet is closed after a scan long enough to
-    witness every recurrent block (two split-regulator windows); a block
-    first seen after closure is an invariant violation at that block.
+    The cut follows the first marker at or after start (_windows), past
+    every letter that does not recur.  The marker recurs, so under a true
+    regulator it lies in every window of r(1) letters, the one from
+    start - 1 too: the dropped prefix is shorter than 2r(1).  One cutter
+    reads seq from the offset once; the probe, the closure scan and the
+    split sequence's fills take its blocks in order.  A block longer than
+    r(1), or an unfinished one of r(1) letters, is an invariant violation
+    where it is met.  The block alphabet is closed after a scan long
+    enough to witness every recurrent block (two split-regulator windows);
+    a block first seen after closure is an invariant violation at that
+    block.
     """
-    # condition (1) places the first marker within the first window, and
-    # the second window holds exactly the infinitely-occurring letters
-    r1, head = _windows(seq, reg)
-    if marker not in head[r1:]:
+    return _split(seq, marker, reg, *_windows(seq, reg))
+
+
+def _split(seq, marker, reg, r1, head, letters, start):
+    """split over the read _windows made of seq and reg."""
+    if marker not in letters:
         raise ValueError(f"marker {marker!r} does not recur (not in the "
                          "infinitely-occurring letters)")
-    if marker not in head[:r1]:
+    if marker not in head[start:start + r1]:
         raise InvariantViolation("marker absent from the first regulator window")
-    offset = head.index(marker) + 1
+    offset = head.index(marker, start) + 1
     # blocks are cut as letter codes, each without its closing marker
     alphabet = seq.alphabet
     code = alphabet.encode((marker,))
@@ -347,7 +359,7 @@ def split(seq, marker, reg):
         offset=offset,
         split_sequence=split_sequence,
         max_block_len=max_block_len,
-        original=seq,
+        prefix=Word._of(alphabet, head[:offset]),
     )
 
 
@@ -382,8 +394,7 @@ def block_automaton(auto, sr):
             outputs[out] = None
 
     # state after the deleted prefix (ends with the marker, so it lies in Q1)
-    dropped = sr.original.read(0, sr.offset - 1).symbols
-    initial = _walk(auto, auto.initial, dropped)[1]
+    initial = _walk(auto, auto.initial, sr.prefix)[1]
     if initial not in states:
         raise InvariantViolation("post-prefix state escaped the marker image")
     return Automaton(
@@ -417,19 +428,21 @@ def reduce_to_reversible(auto, seq, reg):
     is reversible, certifying the deleted prefix length against the
     iterated-composition bound.
 
-    Each step reads the regulator's two windows once (_windows): the
-    letters of the second are the ones recurring in the current sequence,
-    and the dropped prefix is read off the first.  Among the recurring
-    letters that the machine does not read injectively, the one with the
-    smallest state image is chosen (ties by alphabet order).  A split block
-    holding a letter outside the window is an invariant violation; the
-    dropped prefix may hold any letter, and the block machine reads it with
-    the whole machine.  Two invariants need no check.
-    The next machine's states are the chosen letter's image, which is
-    smaller than the state set, so the state count falls at every step.
-    And the loop ends only when every recurring letter permutes the
-    states.  Only then is the machine restricted, once, to those letters:
-    the final machine, which is_reversible accepts.
+    Each step reads its level's two regulator windows once (_windows) and
+    takes its recurring letters and its cut (_split) from that read.
+    Among the recurring letters that the machine does not read injectively,
+    the one with the smallest state image is chosen (ties by alphabet
+    order).  A split block holding a letter outside the second window is
+    an invariant violation; the dropped prefix may hold any letter, and the
+    block machine reads it with the whole machine.  The state count falls
+    at every step, since the next machine's states are the chosen letter's
+    image.  When every recurring letter permutes the states, the final
+    level is cut past its letters that do not recur too, and the machine,
+    started where those letters leave it, is restricted once to the
+    recurring letters: the final machine, which is_reversible accepts.
+    Under a true regulator a split level deletes fewer than 2r(1) letters
+    and the final level at most r(1), counted at their levels; the total is
+    checked against reg_iterated_bound at run time.
     """
     _check_input(auto, seq)
     bound = reg_iterated_bound(reg, len(auto.states))
@@ -439,22 +452,21 @@ def reduce_to_reversible(auto, seq, reg):
     deleted = 0
     steps = []
     while True:
-        r1, head = _windows(seq, reg)
-        letters = set(head[r1:])
+        r1, head, letters, start = window = _windows(seq, reg)
         images = letter_images(auto)
         candidates = [s for s in auto.input_alphabet
                       if s in letters and len(images[s]) < len(auto.states)]
         if not candidates:  # every recurring letter permutes the states
             break
         letter = min(candidates, key=lambda s: (len(images[s]), auto.input_alphabet.index(s)))
-        sr = split(seq, letter, reg)
+        sr = _split(seq, letter, reg, *window)
         for block in sr.decode.values():
             missing = [s for s in block if s not in letters]
             if missing:
                 raise InvariantViolation(
                     f"letter {missing[0]!r} of block {block.text()!r} is missing "
                     f"from the regulator window [{r1}, {2 * r1 - 1}]")
-        step_deleted = sum(span[s] for s in head[:sr.offset])
+        step_deleted = sum(span[s] for s in sr.prefix)
         deleted += step_deleted
         auto = block_automaton(auto, sr)
         steps.append(ReductionStep(letter=letter, image=images[letter], split_result=sr,
@@ -463,16 +475,15 @@ def reduce_to_reversible(auto, seq, reg):
         seq = sr.split_sequence
         reg = reg_split(reg, sr.max_block_len)
 
+    # the final level's cut passes its letters that do not recur
+    deleted += sum(span[s] for s in head[:start])
     if deleted > bound:
-        raise InvariantViolation(
-            f"deleted prefix {deleted} exceeds the theorem bound {bound}"
-        )
-    return ReductionReport(
-        steps=steps,
-        final_automaton=auto.restricted(letters),
-        deleted_prefix_len=deleted,
-        theorem_bound=bound,
-    )
+        raise InvariantViolation(f"deleted prefix {deleted} exceeds the theorem bound {bound}")
+    initial = _walk(auto, auto.initial, head[:start])[1]
+    final = Automaton(auto.input_alphabet, auto.output_alphabet, auto.states, initial,
+                      auto.delta).restricted(letters)
+    return ReductionReport(steps=steps, final_automaton=final, deleted_prefix_len=deleted,
+                           theorem_bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -319,17 +319,14 @@ def test_reduce_restricts_the_final_machine_to_the_recurring_letters():
     auto = Automaton(xbin, xbin, ("p", "q"), "p", delta)
     rep = reduce_to_reversible(auto, seq, ap.empirical_regulator(seq, 2 ** 12).as_regulator())
     assert rep.steps == []
+    assert rep.deleted_prefix_len == 1  # the x
     assert rep.final_automaton.input_alphabet.symbols == ("0", "1")
     assert is_reversible(rep.final_automaton)
 
 
-@pytest.mark.xfail(strict=True, raises=ap.InvariantViolation,
-                   reason="the split cuts after the first marker, so the transient x "
-                          "lands in a block that the window [r(1), 2r(1) - 1] misses")
 def test_reduce_accepts_a_true_regulator_over_a_transient_letter():
-    # ax then (ab)^w: lin:2:3 is a true regulator, and cutting after the a
-    # at 2 would delete 3 letters, within the bound 18; the reduction cuts
-    # after the a at 0 and meets the block xa
+    # ax then (ab)^w: lin:2:3 is a true regulator; the cut follows the a at
+    # 2, past the transient x, not the a at 0, which would leave the block xa
     abx = Alphabet(("a", "b", "x"))
     seq = prepend("ax", periodic(word("ab", abx)))
     reg = ap.parse_regulator("lin:2:3")
@@ -338,7 +335,61 @@ def test_reduce_accepts_a_true_regulator_over_a_transient_letter():
     delta.update({("0", "b"): ("1", "b"), ("1", "b"): ("0", "b")})
     delta.update({(q, "x"): (q, "x") for q in "01"})
     rep = reduce_to_reversible(Automaton(abx, abx, ("0", "1"), "0", delta), seq, reg)
-    assert rep.deleted_prefix_len <= rep.theorem_bound
+    assert (len(rep.steps), rep.steps[0].split_result.offset) == (1, 3)
+    assert (rep.deleted_prefix_len, rep.theorem_bound) == (3, 18)
+
+
+ABX = Alphabet(("a", "b", "x"))
+
+
+def table_automaton(text, states):
+    """The automaton over (a, b, x) from state 0 whose moves are written
+    "qsto", one per (state q, letter s): next state t, output o."""
+    delta = {(m[0], m[1]): (m[2], m[3]) for m in text.split()}
+    return Automaton(ABX, ABX, tuple(states), "0", delta)
+
+
+def transient_block_case():
+    """a then (babb)^w under a true regulator, and a machine whose one split,
+    on a, starts the split sequence with the transient block b0 = ba."""
+    auto = table_automaton("0a1a 0b0b 0x0a 1a0a 1b3a 1x2a 2a2a 2b1b 2x2a 3a1a 3b2a 3x2b",
+                           "0123")
+    return auto, prepend("a", periodic(word("babb", ABX))), ap.identity_plus(4)
+
+
+def test_reduce_cuts_the_final_level_past_its_transient_letters():
+    # the final machine reads only b1, so the cut passes b0 too, and the
+    # image from letter 3, not 1, is recurrent
+    auto, seq, reg = transient_block_case()
+    assert ap.check_regulator(seq, reg, 4096, 10).status == "pass"
+    rep = reduce_to_reversible(auto, seq, reg)
+    assert [st.deleted_letters for st in rep.steps] == [1]
+    assert rep.steps[0].split_result.decode["b0"].text() == "ba"
+    assert rep.final_automaton.input_alphabet.symbols == ("b1",)
+    assert (rep.deleted_prefix_len, rep.theorem_bound) == (3, 44)
+    image = run(auto, seq)
+    assert ap.check_sap(image.suffix(1), 2 ** 12, 10).status == "fail"
+    assert ap.check_sap(image.suffix(3), 2 ** 12, 10).status == "pass"
+
+
+def test_reduce_accepts_every_true_regulator_of_a_transient_word_then_a_period():
+    # w over (a, b, x), then (u)^w with u over (a, b): r(n) = n + |u| - 1 + |w|
+    # is a true regulator, and every machine reduces within the bound
+    rng = random.Random(1)
+    for _ in range(300):
+        w = "".join(rng.choice("abx") for _ in range(rng.randint(1, 8)))
+        u = "".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
+        states = "0123"[:rng.randint(2, 4)]
+        auto = table_automaton(" ".join(q + s + rng.choice(states) + rng.choice("abx")
+                                        for q in states for s in "abx"), states)
+        seq = prepend(w, periodic(word(u, ABX)))
+        rep = reduce_to_reversible(auto, seq, ap.identity_plus(len(u) - 1 + len(w)))
+        assert rep.deleted_prefix_len <= rep.theorem_bound, (w, u, auto.delta)
+        if not rep.steps:  # the final machine starts where the cut leaves the machine
+            q, cut = auto.initial, rep.deleted_prefix_len
+            for s in read(seq, 0, cut).symbols[:cut]:
+                q = auto.delta[(q, s)][0]
+            assert rep.final_automaton.initial == q, (w, u, auto.delta)
 
 
 def test_reduce_refuses_a_prefix_past_the_theorem_bound():
@@ -353,8 +404,7 @@ def test_reduce_refuses_a_prefix_past_the_theorem_bound():
 def test_block_automaton_refuses_a_prefix_that_leaves_the_marker_image():
     # merge2's marker 0 leads only to q0, but the dropped prefix 1 ends in q1
     blocks = Alphabet(("b0",))
-    sr = ap.SplitResult("0", blocks, {"b0": word("10")}, 1, None, 2,
-                        periodic(word("1", BIN)))
+    sr = ap.SplitResult("0", blocks, {"b0": word("10")}, 1, None, 2, word("1", BIN))
     with pytest.raises(ap.InvariantViolation,
                        match="^post-prefix state escaped the marker image$"):
         block_automaton(merge2_automaton(), sr)
@@ -936,6 +986,44 @@ def test_split_reads_each_letter_past_the_offset_once(monkeypatch):
     past = sorted(r for r in reads if r[0] >= sr.offset)
     assert len(past) > 1
     assert all(j < i for (_, j), (i, _) in zip(past, past[1:]))
+
+
+@pytest.mark.parametrize("case", ["tm", "transient"])
+def test_each_reduction_step_reads_its_windows_once_and_nothing_below_its_offset(
+        monkeypatch, case):
+    # a 3-step reduction over Thue-Morse, and transient_block_case
+    if case == "tm":
+        delta = {("q0", "0"): ("q2", "1"), ("q0", "1"): ("q2", "0"),
+                 ("q1", "0"): ("q1", "0"), ("q1", "1"): ("q3", "0"),
+                 ("q2", "0"): ("q0", "1"), ("q2", "1"): ("q1", "1"),
+                 ("q3", "0"): ("q1", "1"), ("q3", "1"): ("q0", "1")}
+        auto = Automaton(BIN, BIN, ("q0", "q1", "q2", "q3"), "q0", delta)
+        seq, reg = thue_morse(), tm_empirical()
+    else:
+        auto, seq, reg = transient_block_case()
+    windows, reads = [], []
+    real_windows, real_read = ap.automata._windows, ap.SequenceHandle.read
+
+    def counted(seq, reg):
+        windows.append(seq)
+        return real_windows(seq, reg)
+
+    def recorded(seq, i, j):
+        reads.append((seq, i))
+        return real_read(seq, i, j)
+
+    monkeypatch.setattr(ap.automata, "_windows", counted)
+    monkeypatch.setattr(ap.SequenceHandle, "read", recorded)
+    rep = reduce_to_reversible(auto, seq, reg)
+    assert len(rep.steps) == (3 if case == "tm" else 1)
+    levels = [seq] + [st.split_result.split_sequence for st in rep.steps]
+    assert windows == levels
+    offsets = [st.split_result.offset for st in rep.steps]
+    for level, offset in zip(levels, offsets + [float("inf")]):
+        # one read from 0, the windows', and none other below the offset
+        # (on the final level, none other at all)
+        starts = sorted(i for s, i in reads if s is level)
+        assert starts[0] == 0 and all(i >= offset for i in starts[1:])
 
 
 def test_concurrent_reads_agree_and_fill_each_index_once():

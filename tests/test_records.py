@@ -64,12 +64,12 @@ RECORDS = [
      ("suffix", (4,), (SpecNode("tm"),)),
      "SpecNode(kind='suffix', args=(3,), children=(SpecNode(kind='tm', "
      "args=(), children=()),))"),
-    (SplitResult, ("1", "blocks", {}, 2, "seq", 5, "orig"),
+    (SplitResult, ("1", "blocks", {}, 2, "seq", 5, "01"),
      dict(marker="1", block_alphabet="blocks", decode={}, offset=2,
-          split_sequence="seq", max_block_len=5, original="orig"),
-     ("1", "blocks", {}, 3, "seq", 5, "orig"),
+          split_sequence="seq", max_block_len=5, prefix="01"),
+     ("1", "blocks", {}, 3, "seq", 5, "01"),
      "SplitResult(marker='1', block_alphabet='blocks', decode={}, offset=2, "
-     "split_sequence='seq', max_block_len=5, original='orig')"),
+     "split_sequence='seq', max_block_len=5, prefix='01')"),
     (ReductionStep, ("0", ("p",), None, "auto", 7),
      dict(letter="0", image=("p",), split_result=None, automaton="auto",
           deleted_letters=7),
