@@ -34,8 +34,10 @@ from apwords import (
     word,
 )
 from apwords.analysis import (
+    _DENSE,
     _WEIGHTS,
     FactorIndex,
+    _byte_stats,
     _factor_stats,
     _seq_text,
     _widest_gap,
@@ -209,6 +211,42 @@ def test_factor_index_reads_gaps_across_position_slices():
         _assert_positions_match(index, text, n)
         assert index._at(n)[0] is None
     assert FactorIndex(text).stats(1)["a"] == [0, 4200, 6, 4095]
+
+
+def _assert_byte_stats_match(ids, sides):
+    """_byte_stats against the per-position scan for every byte that occurs
+    in ids and one that does not; sides collects which kernel each byte
+    occurring twice or more took (True: split)."""
+    want = factor_stats_per_position(ids.decode("latin-1"), 1)
+    for v in {*ids, max(ids) + 1 if max(ids) < 255 else 0}:
+        assert _byte_stats(ids, v) == want.get(chr(v)), (ids, v)
+        m = ids.count(v)
+        if m > 1:
+            sides.add(m * _DENSE < len(ids))
+
+
+def test_byte_stats_matches_per_position_scan_on_both_sides_of_the_density_rule():
+    sides = set()
+    rng = random.Random(32)
+    for _ in range(400):
+        length = rng.randint(1, 2 ** rng.randint(0, 14))
+        k = rng.randint(1, 40)
+        weights = [rng.random() ** 4 for _ in range(k)]
+        _assert_byte_stats_match(bytes(rng.choices(range(k), weights, k=length)), sides)
+    assert sides == {True, False}
+    for case in (
+            bytes(1), b"\1", b"\3" * 50,  # only v, one and many times
+            b"\1\0", b"\0\1", b"\1\1", b"\1\0\1", b"\1" + bytes(40) + b"\1",
+            bytes(7) + b"\1" + bytes(30) + b"\1" + bytes(7),  # m = 2, split
+            b"\1\1\1" + bytes(5) + b"\1\1",  # adjacent, at 0 and at the end
+            b"\1" + bytes(300) + b"\1" * 40 + bytes(2) + b"\1"):  # 300 zeros, mean 8
+        _assert_byte_stats_match(case, sides)
+    # a mean run of 2 zeros and one run of 2001: the gallop doubles nine
+    # times (to 1535 zeros) before the bisection finds the run's length
+    ids = b"\1\0" * 3000 + bytes(2000) + b"\1\0" * 3000 + b"\1"
+    assert _byte_stats(ids, 1) == [0, len(ids) - 1, 2002, 5998]
+    assert _byte_stats(ids, 0)[2:] == [2, 1]  # the first of the widest gaps
+    _assert_byte_stats_match(ids, sides)
 
 
 def factor_positions_per_position(text, n):
