@@ -125,25 +125,15 @@ def _split(pos, stop, nxt):
     return list(groups.values())
 
 
-# A byte at fewer than one position in _DENSE gets its widest gap from one
-# bytes.split; a denser one from a mask of its positions.  The library
-# benchmark's random oracle jobs at seed 1 took 291 ms a pass at 4, 241-257
-# ms at 8, 12 and 16, 286 ms at 32 and 320-329 ms with a mask for every byte
-# (best of 7, in-process, 2-core Xeon, Python 3.11).
-_DENSE = 12
-
-
 def _byte_stats(ids, v):
     """[first, last, maxgap, gap_prev] of the positions of byte v in ids, or
     None when v does not occur.
 
-    A split allocates one piece per occurrence, so only a byte at fewer
-    than one position in _DENSE is split.  A denser byte is masked (1 at v,
-    0 elsewhere), which costs a few C-level searches however often v
-    occurs: its widest gap is one more than the longest run of zeros
-    between first and last, found by galloping up from the mean run (the
-    longest reaches it) and bisecting, and gap_prev is one before the first
-    run of that length.
+    The positions are masked (1 at v, 0 elsewhere), so the widest gap is one
+    more than the longest run of zeros between first and last, and gap_prev
+    is one before the first run of that length.  One forward scan of C-level
+    searches finds it: the first run at least as long as the mean run (the
+    longest reaches it), then each next run longer than the last one found.
     """
     m = ids.count(v)
     if not m:
@@ -151,28 +141,16 @@ def _byte_stats(ids, v):
     first, last = ids.find(v), ids.rfind(v)
     if m == 1:
         return [first, last, 0, first]
-    if m * _DENSE < len(ids):
-        lens = list(map(len, ids.split(bytes((v,)))))
-        widest = max(islice(lens, 1, m))
-        j = lens.index(widest, 1, m)  # lens[j] lies between positions j - 1 and j
-        return [first, last, widest + 1, first + j - 1 + sum(islice(lens, 1, j))]
-    mask = ids.translate(bytes(v) + b"\1" + bytes(255 - v))
     zeros = last - first + 1 - m  # in the m - 1 gaps
-    lo = -(-zeros // (m - 1))
-    # The first run of at least lo zeros starts at `at`, and none has hi: a
-    # search from one run's start finds the start of the next run that fits.
-    at, hi = mask.find(bytes(lo), first + 1, last), 2 * lo + 1
-    while hi <= zeros and (j := mask.find(bytes(hi), at, last)) >= 0:
-        lo, at, hi = hi, j, 2 * hi + 1
-    hi = min(hi, zeros + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        j = mask.find(bytes(mid), at, last)
-        if j < 0:
-            hi = mid
-        else:
-            lo, at = mid, j
-    return [first, last, lo + 1, at - 1]
+    if not zeros:
+        return [first, last, 1, first]
+    mask = ids.translate(bytes(v) + b"\1" + bytes(255 - v))
+    # a search from a 1 finds the start of the next run that fits
+    j = mask.find(bytes(-(-zeros // (m - 1))), first + 1, last)
+    while j >= 0:
+        at, width = j, mask.find(b"\1", j) - j
+        j = mask.find(bytes(width + 1), at + width, last)
+    return [first, last, width + 1, at - 1]
 
 
 def _numbered(text):
@@ -211,9 +189,8 @@ class FactorIndex:
     number of the factor starting at i: the next level is ids[i] * k + the
     next letter for all i in one big-integer multiply-add (no byte can
     carry), renumbered by one bytes.translate, and both jobs read a child's
-    byte in that level (_byte_stats): a byte at fewer than one position in
-    _DENSE by one bytes.split, which allocates a piece per occurrence, a
-    denser one by a few C-level searches over a mask of its positions.
+    byte in that level by C-level searches over a mask of its positions
+    (_byte_stats).
     From the first level where F * k > 256, each factor holds its ascending
     starts (an array('i')) instead.
 
@@ -605,10 +582,14 @@ def pr_upper_estimate(seq, horizon, n_max):
 
     This is an upper estimate of the minimal uniformly-recurrent suffix cut,
     valid only at the horizon and factor lengths scanned; returns None when
-    no sampled cut passes.  The cuts sampled are default_cut_grid(horizon):
-    0, 1, 2, 4, ... up to horizon/2.  By definition the estimate is the
-    first such cut c (stopping at the first c with horizon - c < n_max) for
-    which check_sap(seq.suffix(c), horizon - c, n_max) passes.
+    no sampled cut passes.  The cuts sampled are the judgeable ones of
+    default_cut_grid(horizon) (0, 1, 2, 4, ... up to horizon/2): those with
+    horizon - c >= max(2 * n_max, 4).  A shorter suffix always fails, since
+    its factors of length n_max all start before its recur cut and below 4
+    letters its gap cut is under one letter; check_sap calls it
+    inconclusive.  So the estimate is the first grid cut c for which
+    check_sap(seq.suffix(c), horizon - c, n_max) passes, and a horizon with
+    no judgeable cut raises ValueError.
 
     The prefix is encoded once, into one FactorIndex whose levels are kept.
     Each cut is judged by _sap_faults, at n = 1, 2, ... until its first
@@ -621,9 +602,12 @@ def pr_upper_estimate(seq, horizon, n_max):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    cuts = [c for c in default_cut_grid(horizon) if horizon - c >= n_max]
-    if not cuts:
-        return None
+    if horizon < n_max:
+        raise ValueError("need horizon >= n_max >= 1")
+    shortest = max(2 * n_max, 4)
+    if horizon < shortest:
+        raise ValueError(f"need horizon >= {shortest} to judge a cut at n_max {n_max}")
+    cuts = [c for c in default_cut_grid(horizon) if horizon - c >= shortest]
     index = FactorIndex(_seq_text(seq, 0, horizon - 1))
     levels = []
 

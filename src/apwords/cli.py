@@ -128,8 +128,6 @@ def _empirical_regulator(args):
 def _pr_estimate(args):
     from . import analysis, words
     seq = words.make_sequence(args.spec)
-    if args.horizon < args.nmax:  # no cut to judge; empirical-regulator's message
-        raise ValueError("need horizon >= n_max >= 1")
     est = analysis.pr_upper_estimate(seq, args.horizon, args.nmax)
     payload = {
         "op": "pr-estimate", "spec": args.spec, "horizon": args.horizon,

@@ -34,7 +34,6 @@ from apwords import (
     word,
 )
 from apwords.analysis import (
-    _DENSE,
     _WEIGHTS,
     FactorIndex,
     _byte_stats,
@@ -213,40 +212,53 @@ def test_factor_index_reads_gaps_across_position_slices():
     assert FactorIndex(text).stats(1)["a"] == [0, 4200, 6, 4095]
 
 
-def _assert_byte_stats_match(ids, sides):
+def _assert_byte_stats_match(ids):
     """_byte_stats against the per-position scan for every byte that occurs
-    in ids and one that does not; sides collects which kernel each byte
-    occurring twice or more took (True: split)."""
+    in ids and one that does not."""
     want = factor_stats_per_position(ids.decode("latin-1"), 1)
     for v in {*ids, max(ids) + 1 if max(ids) < 255 else 0}:
         assert _byte_stats(ids, v) == want.get(chr(v)), (ids, v)
-        m = ids.count(v)
-        if m > 1:
-            sides.add(m * _DENSE < len(ids))
 
 
-def test_byte_stats_matches_per_position_scan_on_both_sides_of_the_density_rule():
-    sides = set()
+def test_byte_stats_matches_per_position_scan():
     rng = random.Random(32)
     for _ in range(400):
         length = rng.randint(1, 2 ** rng.randint(0, 14))
         k = rng.randint(1, 40)
         weights = [rng.random() ** 4 for _ in range(k)]
-        _assert_byte_stats_match(bytes(rng.choices(range(k), weights, k=length)), sides)
-    assert sides == {True, False}
+        _assert_byte_stats_match(bytes(rng.choices(range(k), weights, k=length)))
     for case in (
             bytes(1), b"\1", b"\3" * 50,  # only v, one and many times
             b"\1\0", b"\0\1", b"\1\1", b"\1\0\1", b"\1" + bytes(40) + b"\1",
-            bytes(7) + b"\1" + bytes(30) + b"\1" + bytes(7),  # m = 2, split
+            bytes(7) + b"\1" + bytes(30) + b"\1" + bytes(7),  # m = 2
             b"\1\1\1" + bytes(5) + b"\1\1",  # adjacent, at 0 and at the end
             b"\1" + bytes(300) + b"\1" * 40 + bytes(2) + b"\1"):  # 300 zeros, mean 8
-        _assert_byte_stats_match(case, sides)
-    # a mean run of 2 zeros and one run of 2001: the gallop doubles nine
-    # times (to 1535 zeros) before the bisection finds the run's length
+        _assert_byte_stats_match(case)
+    # a mean run of 2 zeros and one run of 2001
     ids = b"\1\0" * 3000 + bytes(2000) + b"\1\0" * 3000 + b"\1"
     assert _byte_stats(ids, 1) == [0, len(ids) - 1, 2002, 5998]
     assert _byte_stats(ids, 0)[2:] == [2, 1]  # the first of the widest gaps
-    _assert_byte_stats_match(ids, sides)
+    _assert_byte_stats_match(ids)
+
+
+def test_byte_stats_scans_forward_to_the_first_widest_run():
+    # runs of 1, 2, ..., 360 zeros in 65,341 bytes: from the mean run on,
+    # every run is longer than the last, so each takes one search
+    ids = b"".join(b"\1" + bytes(w) for w in range(1, 361)) + b"\1"
+    assert _byte_stats(ids, 1) == [0, len(ids) - 1, 361, len(ids) - 362]
+    _assert_byte_stats_match(ids)
+    for ids, want in (
+            # two longest runs of equal length: the first wins
+            (b"\1" + bytes(5) + b"\1\0\0\1" + bytes(5) + b"\1", [0, 15, 6, 0]),
+            (b"\1\0\0" * 10 + b"\1", [0, 30, 3, 0]),  # every run is the mean
+            # the longest run first, in the middle, and last, ending right
+            # before `last` with more zeros past it
+            (b"\2\1" + bytes(9) + b"\1\0\0\1\0\1", [1, 16, 10, 1]),
+            (b"\1\0\1\0\0\1" + bytes(9) + b"\1\0\1", [0, 17, 10, 5]),
+            (b"\1\0\0\1\0\1" + bytes(9) + b"\1" + bytes(20), [0, 15, 10, 5]),
+            (b"\0\0\1\1\1\1\0", [2, 5, 1, 2])):  # all adjacent: no zeros
+        assert _byte_stats(ids, 1) == want, ids
+        _assert_byte_stats_match(ids)
 
 
 def factor_positions_per_position(text, n):
@@ -990,7 +1002,35 @@ def test_pr_estimate_errors_match_per_cut_definition():
         assert got == _outcome(pr_by_cuts, tm, 256, n_max), n_max
         assert got[0] is ValueError
     # no cut can be judged when the horizon is below n_max
-    assert pr_upper_estimate(tm, 4, 8) is None and pr_by_cuts(tm, 4, 8) is None
+    assert _outcome(pr_upper_estimate, tm, 4, 8) == (
+        ValueError, "need horizon >= n_max >= 1")
+    assert pr_by_cuts(tm, 4, 8) is None
+
+
+def test_pr_estimate_near_n_max_matches_per_cut_definition_or_refuses():
+    # a cut c can pass only when horizon - c >= max(2 * n_max, 4); below
+    # that check_sap is inconclusive on every suffix
+    rng = random.Random(33)
+    families = ("periodic", "prepend", "thm21tau", "fixture", "product")
+    outcomes = set()
+    for _ in range(200):
+        spec = rng.choice(("tm", "thm21") + families)
+        if spec in families:
+            spec = _random_cube_spec(rng, spec)
+        seq = make_sequence(spec)
+        n_max = rng.randint(1, 12)
+        horizon = rng.randint(n_max, 4 * n_max)
+        got = _outcome(pr_upper_estimate, seq, horizon, n_max)
+        shortest = max(2 * n_max, 4)
+        if horizon >= shortest:
+            assert got == pr_by_cuts(seq, horizon, n_max), (spec, horizon, n_max)
+            outcomes.add(got if got in (None, 0) else "positive")
+        else:
+            assert pr_by_cuts(seq, horizon, n_max) is None
+            assert got == (ValueError, f"need horizon >= {shortest} to judge "
+                                       f"a cut at n_max {n_max}"), (horizon, n_max)
+            outcomes.add("refused")
+    assert outcomes == {None, 0, "positive", "refused"}
 
 
 def test_verdict_report_shape():

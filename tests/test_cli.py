@@ -388,6 +388,18 @@ def test_horizon_below_nmax_exit_2(capsys, command):
     assert captured.err == "error: need horizon >= n_max >= 1\n"
 
 
+@pytest.mark.parametrize("spec, horizon, nmax, shortest", [
+    ("periodic:0", "7", "4", 8), ("tm", "100", "60", 120)])
+def test_pr_estimate_without_a_judgeable_cut_exit_2(capsys, spec, horizon, nmax, shortest):
+    # every cut leaves fewer than 2 * nmax letters, so none could pass
+    assert cli.main(["pr-estimate", "--spec", spec, "--horizon", horizon,
+                     "--nmax", nmax]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: need horizon >= {shortest} to judge a cut "
+                            f"at n_max {nmax}\n")
+
+
 def test_negative_regulator_values_are_read(capsys):
     # lin:2:-1 gives windows 1, 3, ...: "0" is missing from the first 1-window
     assert cli.main(["check-regulator", "--spec", "tm", "--reg", "lin:2:-1",
